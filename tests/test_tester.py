@@ -6,8 +6,9 @@ import pytest
 
 from conftest import mutate, random_bytes, ref_edit_distance
 from gaped.alignment import validate_alignment
-from gaped.generators import gen_periodic_splice, gen_random_edits
+from gaped.generators import gen_independent_random, gen_periodic_splice, gen_random_edits
 from gaped.qstring import QueriedString
+from gaped.scan import selective_scan
 from gaped.tester import TesterConfig, run
 
 
@@ -138,6 +139,45 @@ def test_sparse_sampling_outcomes_are_seed_stable():
         assert v.stats.binary_searches == searches, tseed
         assert v.stats.search_rows == rows, tseed
         assert v.final_a0 == a0, tseed
+
+
+def _ledger_row(x, y, **kw):
+    v = _run(x, y, **kw)
+    s = v.stats
+    return (v.answer.value, v.final_a0, v.ledger.distinct_x, v.ledger.distinct_y,
+            v.ledger.total_accesses, s.sampled_rows, s.contiguous_rows, len(s.events))
+
+
+def test_run_ledgers_are_pinned():
+    # (answer, final_a0, distinct_x, distinct_y, total_accesses,
+    #  sampled_rows, contiguous_rows, len(events)) per run
+    x, y = gen_periodic_splice(4096, 2, 5, seed=1, sigma=8)
+    assert _ledger_row(x, y, t=16, seed=3) == (
+        "close", 9, 4096, 4096, 9954, 3980, 116, 99)
+    x, y = gen_random_edits(4096, 3, seed=11)  # rate 1 at t=8
+    assert _ledger_row(x, y, t=8, seed=2) == (
+        "close", 4, 4096, 4097, 8292, 4077, 20, 28)
+    x, y = gen_random_edits(1 << 14, 32, seed=5)
+    assert _ledger_row(x, y, t=64, epsilon=0.5, c_s=0.5, seed=7) == (
+        "close", 30, 10238, 10317, 27268, 9388, 852, 1472)
+    rng = random.Random(21)
+    x = random_bytes(rng, 4096)
+    y = x[:1000] + x[1003:2500] + b"c" + x[2500:]
+    assert _ledger_row(x, y, t=8, seed=4) == (
+        "close", 6, 4096, 4094, 8304, 4083, 13, 36)
+    assert _ledger_row(y, x, t=8, seed=4) == (
+        "close", 6, 4094, 4096, 8310, 4081, 15, 40)
+    x, y = gen_independent_random(4096, seed=3, sigma=8)
+    assert _ledger_row(x, y, t=4, seed=1) == ("far", 5, 6, 6, 46, 1, 5, 13)
+    # the selective scan: (result, distinct_x, distinct_y, total_accesses)
+    for (n, k, t, gseed), pinned in {
+        (2000, 5, 16, 8): (5, 2000, 1998, 4314),
+        (600, 12, 8, 9): (None, 391, 392, 964),
+    }.items():
+        x, y = gen_random_edits(n, k, seed=gseed)
+        qx, qy = QueriedString(x), QueriedString(y)
+        got = selective_scan(qx, qy, t)
+        assert (got, qx.distinct, qy.distinct, qx.total + qy.total) == pinned
 
 
 # ---------------------------------------------------------------------------
