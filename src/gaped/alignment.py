@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .qstring import ascii_bytes
+
 SUBSTITUTION = "substitution"
 DIAG_UP = "diag+1"
 DIAG_DOWN = "diag-1"
@@ -121,7 +123,7 @@ def _as_bytes(s) -> bytes:
     if isinstance(s, bytes):
         return s
     if isinstance(s, str):
-        return s.encode("ascii")
+        return ascii_bytes(s)
     data = getattr(s, "data", None)
     if isinstance(data, bytes):
         return data

@@ -45,7 +45,7 @@ from .tester import TesterConfig
 from .tester import run as run_main_tester
 from .verdict import Answer
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _FAMILY_FLAGS = {
     "random-edits": "random_edits",
@@ -71,7 +71,6 @@ class RunReport:
     epsilon: float
     c_s: float
     far_factor: float
-    lce: bool
     verdict: str
     final_a0: int
     distinct_x: int
@@ -103,6 +102,8 @@ def _resolve_seed(explicit: int | None) -> int:
         try:
             return int(env)
         except ValueError:
+            print(f"gaped: GAPED_SEED must be an integer, got '{env}'",
+                  file=sys.stderr)
             raise SystemExit(2)
     return 0
 
@@ -140,14 +141,7 @@ def cmd_run(args) -> int:
         v = run_sampled_tester(x, y, args.t, args.cs, random.Random(seed))
         answer, final_a0 = v.answer, v.final_a0
     else:
-        cfg = TesterConfig(
-            t=args.t,
-            epsilon=args.eps,
-            c_s=args.cs,
-            far_factor=args.far_factor,
-            seed=seed,
-            lce_acceleration=args.lce,
-        )
+        cfg = TesterConfig(t=args.t, epsilon=args.eps, c_s=args.cs, seed=seed)
         v = run_main_tester(x, y, cfg)
         answer, final_a0 = v.answer, v.final_a0
         transitions = v.mode_transitions
@@ -161,7 +155,6 @@ def cmd_run(args) -> int:
         epsilon=args.eps,
         c_s=args.cs,
         far_factor=args.far_factor,
-        lce=bool(args.lce),
         verdict=answer.value,
         final_a0=final_a0,
         distinct_x=ledger.distinct_x,
@@ -337,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--far-factor", type=float, default=13.0)
     r.add_argument("--cs", type=float, default=3.0,
                    help="sampling-rate constant")
-    r.add_argument("--lce", action="store_true",
-                   help="enable block longest-common-extension acceleration")
     r.add_argument("--fasta", action="store_true",
                    help="treat inputs as FASTA: drop '>' header lines, join the rest")
     r.add_argument("--stable-output", action="store_true",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstring import QueriedString, bytes_match
+from .qstring import QueriedString, ascii_bytes, bytes_match
 
 INF = 1 << 28
 
@@ -29,7 +29,7 @@ def _raw(s: QueriedString | bytes | bytearray | str) -> bytes:
     if isinstance(s, QueriedString):
         return s.read_all()
     if isinstance(s, str):
-        return s.encode("ascii")
+        return ascii_bytes(s)
     return bytes(s)
 
 

@@ -154,12 +154,11 @@ def find_period_transition(x, y, state: PeriodState, i: int) -> int:
 def mismatched_diagonals(x, y, j: int, diagonals):
     """Diagonals with a direct mismatch in rows [j .. j+m] after a transition.
 
-    Returns (charged, d_star): charged is the set of diagonals d with
-    x[j'] != y[j'+d] for some in-range row j' in the window, d_star the
-    smallest uncharged diagonal (None when all are charged).  Only pairs
-    with both reads in range count; rows truncated by a string boundary
-    never charge, which can leave more than one diagonal uncharged near
-    the end of the strings (the caller probes the extras separately).
+    Returns the set of diagonals d with x[j'] != y[j'+d] for some in-range
+    row j' in the window.  Only pairs with both reads in range count; rows
+    truncated by a string boundary never charge, which can leave more than
+    one diagonal uncharged near the end of the strings (the caller probes
+    the extras separately).
     """
     ds = sorted(set(diagonals))
     m = ds[-1] - ds[0]
@@ -173,9 +172,7 @@ def mismatched_diagonals(x, y, j: int, diagonals):
             if x.read(jp) != y.read(jp + d):
                 charged.add(d)
                 break
-    uncharged = [d for d in ds if d not in charged]
-    d_star = uncharged[0] if uncharged else None
-    return charged, d_star
+    return charged
 
 
 def probe_diagonal(x, y, d: int, lo: int, hi: int, rate: float, rng) -> bool:

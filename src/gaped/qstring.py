@@ -48,7 +48,7 @@ class QueriedString:
 
     def __init__(self, data: bytes | bytearray | str):
         if isinstance(data, str):
-            data = data.encode("ascii")
+            data = ascii_bytes(data)
         self.data = bytes(data)
         self._seen = bytearray(len(self.data))
         self.distinct = 0
@@ -91,6 +91,16 @@ class QueriedString:
         self._seen = bytearray(len(self.data))
         self.distinct = 0
         self.total = 0
+
+
+def ascii_bytes(s: str) -> bytes:
+    """str input as bytes; a ValueError names the first non-ASCII character."""
+    try:
+        return s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise ValueError(
+            f"str input must be ASCII; found {s[exc.start]!r} at position {exc.start}"
+        ) from None
 
 
 def bytes_match(a: int | None, b: int | None) -> bool:

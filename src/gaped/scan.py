@@ -16,18 +16,9 @@ and the rule only looks one row back.
 
 from __future__ import annotations
 
-import enum
-from bisect import insort
 from dataclasses import dataclass, field
 
 from .qstring import QueriedString, as_queried, bytes_match
-
-
-class Domination(enum.Flag):
-    NONE = 0
-    BY_LEFT = enum.auto()
-    BY_UPPER_RIGHT = enum.auto()
-    BOTH = BY_LEFT | BY_UPPER_RIGHT
 
 
 class CostArray:
@@ -81,95 +72,30 @@ class CostArray:
         return tuple(self.a)
 
 
-class DiagonalSet:
-    """Sorted set of diagonals; scan-time insertions may only land ahead.
-
-    The row scan visits diagonals in increasing order.  While a scan is in
-    flight, add() accepts only values at or beyond the cursor, which is the
-    only kind of insertion the update rule produces (d+1 after a mismatch).
-    """
-
-    __slots__ = ("items", "_cursor")
-
-    def __init__(self, items=()):
-        self.items: list[int] = sorted(set(items))
-        self._cursor = -1
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __contains__(self, d: int) -> bool:
-        lst = self.items
-        lo, hi = 0, len(lst)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if lst[mid] < d:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(lst) and lst[lo] == d
-
-    def add(self, d: int) -> None:
-        if d in self:
-            return
-        if self._cursor >= 0 and self.items and d < self.items[self._cursor]:
-            raise ValueError(
-                f"insertion of {d} lands behind the scan cursor "
-                f"({self.items[self._cursor]})"
-            )
-        insort(self.items, d)
-
-    def scan(self):
-        """Iterate ascending; concurrent add() of values ahead is allowed."""
-        self._cursor = 0
-        try:
-            while self._cursor < len(self.items):
-                yield self.items[self._cursor]
-                self._cursor += 1
-        finally:
-            self._cursor = -1
-
-
-def is_dominated(costs: CostArray, i: int, d: int) -> Domination:
-    """Which in-neighbors of (i, d) sit exactly one below its cost.
-
-    Neighbors outside the band, outside the grid, or missing entirely never
-    dominate.
-    """
-    t = costs.t
-    h = costs.cost_at_row(d, i)
-    dom = Domination.NONE
-    if d - 1 >= -t and i + d - 1 >= 0 and costs.cost_at_row(d - 1, i) == h - 1:
-        dom |= Domination.BY_LEFT
-    if d + 1 <= t and i >= 1 and costs.cost_at_row(d + 1, i - 1) == h - 1:
-        dom |= Domination.BY_UPPER_RIGHT
-    return dom
-
-
 def is_potent(
     costs: CostArray, i: int, d: int, x: QueriedString, y: QueriedString
 ) -> bool:
     """Potency of (i, d) under the counters in `costs`.
 
-    A dominating left neighbor must be potent on this row and face a
-    mismatch entering the next one; a dominating upper-right neighbor must
-    have been potent on the previous row and face a mismatch entering this
-    one.  Undominated cells are potent outright.
+    An in-neighbor dominates when it sits exactly one below the cell's
+    cost; neighbors outside the band, outside the grid, or missing entirely
+    never dominate.  A dominating left neighbor must be potent on this row
+    and face a mismatch entering the next one; a dominating upper-right
+    neighbor must have been potent on the previous row and face a mismatch
+    entering this one.  Undominated cells are potent outright.
     """
-    dom = is_dominated(costs, i, d)
-    if dom & Domination.BY_LEFT:
-        if not costs.was_potent(d - 1, i):
-            return False
-        if bytes_match(x.read(i), y.read(i + d - 1)):
-            return False
-    if dom & Domination.BY_UPPER_RIGHT:
-        if not costs.was_potent(d + 1, i - 1):
-            return False
-        if bytes_match(x.read(i - 1), y.read(i + d)):
-            return False
+    t = costs.t
+    below = costs.cost_at_row(d, i) - 1
+    left = d - 1 >= -t and i + d - 1 >= 0 and costs.cost_at_row(d - 1, i) == below
+    upper_right = d + 1 <= t and i >= 1 and costs.cost_at_row(d + 1, i - 1) == below
+    if left and (
+        not costs.was_potent(d - 1, i) or bytes_match(x.read(i), y.read(i + d - 1))
+    ):
+        return False
+    if upper_right and (
+        not costs.was_potent(d + 1, i - 1) or bytes_match(x.read(i - 1), y.read(i + d))
+    ):
+        return False
     return True
 
 
@@ -184,7 +110,61 @@ class ScanTrace:
 
     rows: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
     snapshots: list[tuple[int, int, tuple[int, ...]]] = field(default_factory=list)
-    record_snapshots: bool = True
+
+
+def advance_row(
+    costs: CostArray,
+    active: list[int],
+    i: int,
+    x: QueriedString,
+    y: QueriedString,
+    d_end: int = 0,
+    prune: bool = True,
+    trace: ScanTrace | None = None,
+) -> tuple[list[int], list[int]]:
+    """Row i of the potency rule, for the scan and the tester alike.
+
+    Visits the sorted active diagonals in ascending order, skipping (with
+    prune) those whose counter exceeds t - |d - d_end|.  A potent diagonal
+    survives; on a mismatch it is charged and spreads to d-1 on the next
+    row and to d+1 on this one, carried as the next diagonal to visit.
+    Returns (next_active, charged), both sorted.
+    """
+    t = costs.t
+    nxt: list[int] = []
+    charged: list[int] = []
+    carry = None
+    k, size = 0, len(active)
+    while k < size or carry is not None:
+        if carry is None:
+            d = active[k]
+            k += 1
+        else:
+            # d+1 never exceeds the next active diagonal: visiting it now
+            # keeps the walk ascending, and a duplicate is skipped
+            d, carry = carry, None
+            if k < size and active[k] == d:
+                k += 1
+        if prune and costs.cost(d) > t - abs(d - d_end):
+            continue
+        if not is_potent(costs, i, d, x, y):
+            if trace is not None:
+                trace.snapshots.append((i, d, costs.snapshot()))
+            continue
+        costs.mark_potent(d, i)
+        if not bytes_match(x.read(i), y.read(i + d)):
+            costs.charge(d, i)
+            charged.append(d)
+            if d + 1 <= t:
+                carry = d + 1
+            if d - 1 >= -t and (not nxt or nxt[-1] != d - 1):
+                nxt.append(d - 1)
+        nxt.append(d)
+        if trace is not None:
+            trace.snapshots.append((i, d, costs.snapshot()))
+    if trace is not None:
+        trace.rows.append((i, tuple(d for d in nxt if costs.was_potent(d, i))))
+    return nxt, charged
 
 
 def selective_scan(
@@ -212,34 +192,12 @@ def selective_scan(
     if abs(d_end) > t:
         return None
     costs = CostArray(t)
-    active = DiagonalSet([0])
+    active = [0]
     for i in range(nx):
-        nxt = DiagonalSet()
-        kept: list[int] = []
-        for d in active.scan():
-            if prune and costs.cost(d) > t - abs(d - d_end):
-                continue
-            if not is_potent(costs, i, d, x, y):
-                if trace is not None and trace.record_snapshots:
-                    trace.snapshots.append((i, d, costs.snapshot()))
-                continue
-            costs.mark_potent(d, i)
-            kept.append(d)
-            nxt.add(d)
-            if not bytes_match(x.read(i), y.read(i + d)):
-                costs.charge(d, i)
-                if d + 1 <= t:
-                    active.add(d + 1)
-                if d - 1 >= -t:
-                    nxt.add(d - 1)
-            if trace is not None and trace.record_snapshots:
-                trace.snapshots.append((i, d, costs.snapshot()))
-        if trace is not None:
-            trace.rows.append((i, tuple(kept)))
-        if prune and (not nxt.items or costs.cost(d_end) > t):
+        active, _ = advance_row(costs, active, i, x, y, d_end, prune, trace)
+        if prune and (not active or costs.cost(d_end) > t):
             return None
-        if not nxt.items:
+        if not active:
             break
-        active = nxt
     final = costs.cost(d_end)
     return final if final <= t else None

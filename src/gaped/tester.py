@@ -38,7 +38,9 @@ from .periodicity import (
 )
 from .qstring import as_queried, bytes_match, ledger_snapshot
 from .sampled import geometric_gap
-from .scan import CostArray, DiagonalSet, is_potent
+# is_potent is called by advance_row, not here; it stays bound in this module
+# because profiling harnesses rebind the tester's names by module attribute.
+from .scan import CostArray, advance_row, is_potent  # noqa: F401
 from .verdict import Answer, Verdict
 
 
@@ -52,18 +54,13 @@ class TesterConfig:
     """Run parameters.
 
     t is the gap parameter; epsilon trades queries for gap via the
-    sampling rate min(1, c_s*ln(n)/t^(1-epsilon)).  far_factor is carried
-    for experiment bookkeeping (the far threshold far_factor * t^(2-eps)
-    is a property of the instances, not a knob of the algorithm).
-    lce_acceleration routes contiguous-mode reads through cached blocks.
+    sampling rate min(1, c_s*ln(n)/t^(1-epsilon)).
     """
 
     t: int
     epsilon: float = 0.0
     c_s: float = 3.0
-    far_factor: float = 13.0
     seed: int = 0
-    lce_acceleration: bool = False
 
     def __post_init__(self):
         if self.t < 1:
@@ -72,15 +69,12 @@ class TesterConfig:
             raise ValueError("epsilon must lie in [0, 1)")
         if self.c_s <= 0:
             raise ValueError("sampling constant must be positive")
-        if self.far_factor <= 0:
-            raise ValueError("far factor must be positive")
 
 
 @dataclass
 class RunStats:
     """Counters and event log accumulated over one run."""
 
-    charge_events: list[tuple[int, int]] = field(default_factory=list)
     to_contiguous: int = 0
     to_sampling: int = 0
     contiguous_rows: int = 0
@@ -90,64 +84,10 @@ class RunStats:
     binary_searches: int = 0
     search_rows: list[int] = field(default_factory=list)
     probe_calls: int = 0
-    multiple_uncharged: int = 0
     length_shortcircuit: bool = False
     segments: list[tuple[int, int, int]] = field(default_factory=list)
     events: list[tuple[int, int, str]] = field(default_factory=list)
     answer: Answer | None = None
-    last_row: int = 0
-
-
-class _BlockView:
-    """Read-through cache over a contiguous index range of one string."""
-
-    __slots__ = ("base", "lo", "vals")
-
-    def __init__(self, base, lo: int, vals: list):
-        self.base = base
-        self.lo = lo
-        self.vals = vals
-
-    def read(self, i: int):
-        k = i - self.lo
-        if 0 <= k < len(self.vals):
-            return self.vals[k]
-        return self.base.read(i)
-
-
-class _BlockLce:
-    """Cached 5t-row block of x plus the matching band of y.
-
-    Bulk-reads both ranges once, then answers contiguous-mode character
-    checks from the cache.  Per diagonal, a right-to-left table of match
-    run lengths gives the longest common extension at any block row in
-    O(1); mismatch tests become lce == 0 lookups.
-    """
-
-    def __init__(self, x, y, t: int, start: int):
-        self.t = t
-        self.start = start
-        self.end = start + 5 * t
-        self.xv = _BlockView(x, start, [x.read(k) for k in range(start, self.end)])
-        ylo = start - t
-        self.yv = _BlockView(y, ylo, [y.read(k) for k in range(ylo, self.end + t)])
-        self._runs: dict[int, list[int]] = {}
-
-    def covers(self, i: int) -> bool:
-        return self.start <= i < self.end
-
-    def lce(self, i: int, d: int) -> int:
-        """Match run length along diagonal d starting at block row i."""
-        tbl = self._runs.get(d)
-        if tbl is None:
-            size = self.end - self.start
-            tbl = [0] * (size + 1)
-            for k in range(size - 1, -1, -1):
-                xc = self.xv.vals[k]
-                yc = self.yv.read(self.start + k + d)
-                tbl[k] = tbl[k + 1] + 1 if bytes_match(xc, yc) else 0
-            self._runs[d] = tbl
-        return tbl[i - self.start]
 
 
 @dataclass
@@ -156,11 +96,10 @@ class ModeState:
 
     mode: Mode
     i: int
-    diagonals: DiagonalSet
+    diagonals: list[int]
     costs: CostArray
     period: PeriodState | None
     quiet_rows: int
-    d_next: DiagonalSet | None = None
     n: int = 0
     rate: float = 1.0
     rng_rows: random.Random | None = None
@@ -169,7 +108,6 @@ class ModeState:
     rep_d: int = 0
     seg_start: int = 0
     boundary_row: int = 0
-    block: _BlockLce | None = None
 
 
 def _split_streams(seed) -> tuple[random.Random, random.Random]:
@@ -185,7 +123,7 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
     return ModeState(
         mode=Mode.SAMPLING,
         i=geometric_gap(rate, rng_rows) - 1,
-        diagonals=DiagonalSet([0]),
+        diagonals=[0],
         costs=CostArray(cfg.t),
         period=None,
         quiet_rows=0,
@@ -200,68 +138,37 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
 def contiguous_round(state: ModeState, x, y, cfg: TesterConfig) -> ModeState:
     """Process one contiguous row, then switch to sampling if quiet.
 
-    Per diagonal in ascending order: skip it for good while its counter
-    exceeds t - |d|; otherwise judge potency against the counters, keep
-    potent diagonals, and on a mismatch charge the diagonal and spread to
-    its neighbors (d+1 ahead of the cursor in this row, d-1 for the next).
-    After 2(max-min)+1 consecutive quiet rows (2 for a lone diagonal) the
-    pattern regime is captured and the tester jumps to the next sampled
-    row.  The extra quiet row beyond 2(max-min) makes the captured window
-    wide enough that a later transition search is valid everywhere it can
-    land.
+    The row goes through scan.advance_row with the finishing diagonal 0:
+    diagonals whose counter exceeds t - |d| are skipped for good, potent
+    ones survive, and each mismatch charges its diagonal and spreads to its
+    neighbors.  After 2(max-min)+1 consecutive quiet rows (2 for a lone
+    diagonal) the pattern regime is captured and the tester jumps to the
+    next sampled row.  The extra quiet row beyond 2(max-min) makes the
+    captured window wide enough that a later transition search is valid
+    everywhere it can land.
     """
-    t = cfg.t
     i = state.i
-    costs = state.costs
     stats = state.stats
-    if cfg.lce_acceleration:
-        if state.block is None or not state.block.covers(i):
-            state.block = _BlockLce(x, y, t, i)
-        xv, yv = state.block.xv, state.block.yv
-    else:
-        xv, yv = x, y
-    nxt = DiagonalSet()
-    mismatch_seen = False
-    for d in state.diagonals.scan():
-        if costs.cost(d) > t - abs(d):
-            continue
-        if not is_potent(costs, i, d, xv, yv):
-            continue
-        costs.mark_potent(d, i)
-        nxt.add(d)
-        if state.block is not None:
-            mismatched = state.block.lce(i, d) == 0
-        else:
-            mismatched = not bytes_match(xv.read(i), yv.read(i + d))
-        if mismatched:
-            mismatch_seen = True
-            costs.charge(d, i)
-            stats.charge_events.append((i, d))
-            stats.events.append((i, d, SUBSTITUTION))
-            if d + 1 <= t:
-                state.diagonals.add(d + 1)
-            if d - 1 >= -t:
-                nxt.add(d - 1)
-    state.d_next = nxt
+    nxt, charged = advance_row(state.costs, state.diagonals, i, x, y)
+    stats.events.extend((i, d, SUBSTITUTION) for d in charged)
     state.diagonals = nxt
-    state.quiet_rows = 0 if mismatch_seen else state.quiet_rows + 1
+    state.quiet_rows = 0 if charged else state.quiet_rows + 1
     state.i = i + 1
     state.boundary_row = state.i
     stats.contiguous_rows += 1
-    if not len(nxt):
+    if not nxt:
         return state
     if len(nxt) >= 2:
-        need = 2 * (nxt.items[-1] - nxt.items[0]) + 1
+        need = 2 * (nxt[-1] - nxt[0]) + 1
     else:
         need = 2
     if state.quiet_rows >= need:
         i_pat = state.i - need
         if len(nxt) >= 2:
-            state.period = PeriodState.capture(x, nxt.items, i_pat)
+            state.period = PeriodState.capture(x, nxt, i_pat)
         else:
             state.period = None
         state.mode = Mode.SAMPLING
-        state.block = None
         stats.to_sampling += 1
         state.i = state.i - 1 + geometric_gap(state.rate, state.rng_rows)
     return state
@@ -281,9 +188,10 @@ def sampling_round(state: ModeState, x, y, cfg: TesterConfig) -> ModeState:
     t = cfg.t
     costs = state.costs
     stats = state.stats
+    diags = state.diagonals
     rs = state.i
     stats.sampled_rows += 1
-    if len(state.diagonals) > 1:
+    if len(diags) > 1:
         period = state.period
         stats.periodicity_checks += 1
         if not row_deviates(x, y, period, rs):
@@ -292,38 +200,30 @@ def sampling_round(state: ModeState, x, y, cfg: TesterConfig) -> ModeState:
         stats.binary_searches += 1
         stats.search_rows.append(rs)
         j = find_period_transition(x, y, period, rs)
-        charged, _ = mismatched_diagonals(x, y, j + 1, state.diagonals.items)
-        uncharged = [d for d in state.diagonals.items if d not in charged]
-        if len(uncharged) > 1:
-            stats.multiple_uncharged += 1
-        for d in uncharged:
+        charged = mismatched_diagonals(x, y, j + 1, diags)
+        for d in [d for d in diags if d not in charged]:
             stats.probe_calls += 1
             if probe_diagonal(x, y, d, period.i_pat, rs, state.rate, state.rng_probe):
                 charged.add(d)
-        nxt = DiagonalSet(state.diagonals.items)
-        for d in state.diagonals.items:
+        for d in diags:
             costs.mark_potent(d, rs)
+        live = set(diags)
         for d in sorted(charged):
             costs.charge(d, rs)
-            stats.charge_events.append((rs, d))
             stats.events.append((rs, d, SUBSTITUTION))
-            if d + 1 <= t:
-                nxt.add(d + 1)
-            if d - 1 >= -t:
-                nxt.add(d - 1)
+            live.update(dd for dd in (d - 1, d + 1) if -t <= dd <= t)
+        nxt = sorted(live)
         state.period = None
     else:
-        d = state.diagonals.items[0]
+        d = diags[0]
         stats.shift_checks += 1
         if bytes_match(x.read(rs), y.read(rs + d)):
             state.i = rs + geometric_gap(state.rate, state.rng_rows)
             return state
         costs.mark_potent(d, rs)
         costs.charge(d, rs)
-        stats.charge_events.append((rs, d))
         stats.events.append((rs, d, SUBSTITUTION))
-        nxt = DiagonalSet(dd for dd in (d - 1, d, d + 1) if -t <= dd <= t)
-    state.d_next = nxt
+        nxt = [dd for dd in (d - 1, d, d + 1) if -t <= dd <= t]
     state.diagonals = nxt
     state.mode = Mode.CONTIGUOUS
     stats.to_contiguous += 1
@@ -333,29 +233,31 @@ def sampling_round(state: ModeState, x, y, cfg: TesterConfig) -> ModeState:
     return state
 
 
+def _move_representative(state: ModeState, new: int, row: int) -> None:
+    """Close the segment at `row`; walk to `new`, one diag event per step."""
+    stats = state.stats
+    stats.segments.append((state.seg_start, row, state.rep_d))
+    step = 1 if new > state.rep_d else -1
+    kind = DIAG_UP if step > 0 else DIAG_DOWN
+    for dd in range(state.rep_d + step, new + step, step):
+        stats.events.append((row, dd, kind))
+    state.rep_d = new
+    state.seg_start = row
+
+
 def _update_representative(state: ModeState) -> None:
     """Keep the alignment's current diagonal inside the active set.
 
     While the representative survives, its segment grows; when it drops
     out, the segment closes at the boundary row and the cheapest surviving
-    diagonal (ties to the center) takes over, with one diag event recorded
-    per unit step.
+    diagonal (ties to the center) takes over.
     """
     diags = state.diagonals
-    if not len(diags) or state.rep_d in diags:
+    if not diags or state.rep_d in diags:
         return
     costs = state.costs
-    new = min(diags.items, key=lambda d: (costs.cost(d), abs(d), d))
-    boundary = min(state.boundary_row, state.n)
-    stats = state.stats
-    stats.segments.append((state.seg_start, boundary, state.rep_d))
-    step = 1 if new > state.rep_d else -1
-    dd = state.rep_d
-    while dd != new:
-        dd += step
-        stats.events.append((boundary, dd, DIAG_UP if step > 0 else DIAG_DOWN))
-    state.rep_d = new
-    state.seg_start = boundary
+    new = min(diags, key=lambda d: (costs.cost(d), abs(d), d))
+    _move_representative(state, new, min(state.boundary_row, state.n))
 
 
 def emit_alignment(stats: RunStats) -> SuccinctAlignment:
@@ -366,7 +268,7 @@ def emit_alignment(stats: RunStats) -> SuccinctAlignment:
 
 
 def run(x, y, cfg: TesterConfig) -> Verdict:
-    """Decide close vs far for the gap t/2 versus far_factor * t^(2-eps).
+    """Decide close vs far for the gap t/2 versus 13 * t^(2-eps).
 
     Close is deterministic for instances within t/2; far instances beyond
     the threshold are caught with constant probability per seed.  Inputs
@@ -398,23 +300,17 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
         if state.costs.cost(0) > t:
             answer = Answer.FAR
             break
-        if not len(state.diagonals):
+        if not state.diagonals:
             answer = Answer.FAR
             break
     if answer is None:
         answer = Answer.CLOSE
     stats.answer = answer
-    stats.last_row = min(state.i, n)
     alignment = None
     if answer is Answer.CLOSE:
-        stats.segments.append((state.seg_start, n, state.rep_d))
         if state.rep_d != 0:
-            step = -1 if state.rep_d > 0 else 1
-            dd = state.rep_d
-            while dd != 0:
-                dd += step
-                stats.events.append((n, dd, DIAG_UP if step > 0 else DIAG_DOWN))
-            stats.segments.append((n, n, 0))
+            _move_representative(state, 0, n)
+        stats.segments.append((state.seg_start, n, state.rep_d))
         alignment = emit_alignment(stats)
     return Verdict(
         answer=answer,

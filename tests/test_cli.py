@@ -40,7 +40,7 @@ def test_run_oracle_reports_close(pair):
     code, out = run_cli(["run", "--algo", "oracle", "--x", xp, "--y", yp, "-t", "8"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     assert rep["verdict"] == "close"
     assert rep["final_a0"] == 2
     assert rep["algorithm"] == "oracle"
@@ -80,15 +80,18 @@ def test_run_stable_output_is_byte_identical(pair):
     assert json.loads(first)["wall_time_ns"] == 0
 
 
-def test_run_seed_comes_from_the_environment(pair, monkeypatch):
+def test_run_seed_comes_from_the_environment(pair, monkeypatch, capsys):
     xp, yp = pair
     monkeypatch.setenv("GAPED_SEED", "41")
     _, out = run_cli(["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "8"])
     assert json.loads(out)["seed"] == 41
     monkeypatch.setenv("GAPED_SEED", "not-a-number")
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         run_cli(["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "8"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "gaped: GAPED_SEED must be an integer, got 'not-a-number'\n")
 
 
 def test_run_explicit_seed_beats_the_environment(pair, monkeypatch):

@@ -164,9 +164,8 @@ def test_mismatched_diagonals_charges_deviating_diagonals():
     j = 100
     for k in range(j + 1, j + 40):
         x[k] = ord("z")
-    charged, d_star = mismatched_diagonals(q(x), q(y), j + 1, [0, 2])
+    charged = mismatched_diagonals(q(x), q(y), j + 1, [0, 2])
     assert charged == {0, 2}
-    assert d_star is None
 
 
 def test_mismatched_diagonals_spares_the_aligned_diagonal():
@@ -178,17 +177,15 @@ def test_mismatched_diagonals_spares_the_aligned_diagonal():
     x = bytes(_periodic(b"abcd", n))
     s = 150
     y = x[:s] + b"z" * g + x[s : n - g]
-    charged, d_star = mismatched_diagonals(q(x), q(y), s, [0, g])
+    charged = mismatched_diagonals(q(x), q(y), s, [0, g])
     assert charged == {0}
-    assert d_star == g
 
 
 def test_mismatched_diagonals_truncates_at_string_end():
     x = _periodic(b"ab", 20)
-    charged, d_star = mismatched_diagonals(q(x), q(x), 19, [0, 2])
+    charged = mismatched_diagonals(q(x), q(x), 19, [0, 2])
     # only row 19..20 can be read; nothing mismatches
     assert charged == set()
-    assert d_star in (0, 2)
 
 
 # ---------------------------------------------------------------------------

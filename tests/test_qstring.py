@@ -2,10 +2,15 @@
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gaped.alignment import SuccinctAlignment, validate_alignment
+from gaped.oracle import edit_distance
 from gaped.qstring import QueriedString, as_queried, bytes_match, ledger_snapshot
+from gaped.scan import selective_scan
+from gaped.tester import TesterConfig, run
 
 
 def test_read_in_range_returns_byte_value():
@@ -56,6 +61,20 @@ def test_reset_ledger_clears_counts_not_data():
 
 def test_str_input_is_ascii_encoded():
     assert QueriedString("abc").data == b"abc"
+
+
+def test_non_ascii_str_input_is_a_value_error_naming_the_position():
+    alignment = SuccinctAlignment(segments=((0, 3, 0),), events=())
+    calls = {
+        2: lambda: run("abé", "abc", TesterConfig(t=1)),
+        1: lambda: selective_scan("abc", "aéc", 1),
+        0: lambda: edit_distance("ébc", "abc"),
+        3: lambda: validate_alignment(alignment, "abc", "abcé"),
+    }
+    for pos, call in calls.items():
+        message = f"must be ASCII; found 'é' at position {pos}$"
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_bytes_match_truth_table():

@@ -2,14 +2,13 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutate, random_bytes, ref_banded_costs, ref_edit_distance
 from gaped.oracle import banded_potent_table
 from gaped.qstring import QueriedString
-from gaped.scan import CostArray, DiagonalSet, ScanTrace, selective_scan
+from gaped.scan import CostArray, ScanTrace, selective_scan
 
 INF = 1 << 28
 
@@ -119,7 +118,7 @@ def test_mid_scan_counters_follow_the_row_split():
 
 
 # ---------------------------------------------------------------------------
-# CostArray and DiagonalSet units
+# CostArray units
 
 
 def test_cost_array_initializes_to_band_distance():
@@ -145,32 +144,3 @@ def test_cost_array_potency_is_per_row():
     assert c.was_potent(0, 4)
     assert not c.was_potent(0, 3)
     assert not c.was_potent(0, 5)
-
-
-def test_diagonal_set_scans_ascending_with_inserts_ahead():
-    s = DiagonalSet([0, 2])
-    order = []
-    for d in s.scan():
-        order.append(d)
-        if d == 0:
-            s.add(1)
-    assert order == [0, 1, 2]
-    assert 1 in s and -1 not in s
-
-
-def test_diagonal_set_rejects_inserts_behind_the_cursor():
-    s = DiagonalSet([0, 2])
-    with pytest.raises(ValueError):
-        for d in s.scan():
-            if d == 2:
-                s.add(-1)
-    # the cursor resets even after the raise
-    s.add(-1)
-    assert list(s) == [-1, 0, 2]
-
-
-def test_diagonal_set_deduplicates():
-    s = DiagonalSet([3, 1, 3, 1])
-    assert list(s) == [1, 3]
-    s.add(1)
-    assert len(s) == 2

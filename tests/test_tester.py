@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import mutate, random_bytes, ref_edit_distance
-from gaped.alignment import validate_alignment
+from gaped.alignment import SUBSTITUTION, validate_alignment
 from gaped.generators import gen_independent_random, gen_periodic_splice, gen_random_edits
 from gaped.qstring import QueriedString
 from gaped.scan import selective_scan
@@ -15,6 +15,10 @@ from gaped.tester import TesterConfig, run
 def _run(x, y, **kw):
     cfg = TesterConfig(**kw)
     return run(QueriedString(x), QueriedString(y), cfg)
+
+
+def _charges(v):
+    return [(row, d) for row, d, kind in v.stats.events if kind == SUBSTITUTION]
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +34,6 @@ def test_config_validation():
         TesterConfig(t=4, epsilon=-0.1)
     with pytest.raises(ValueError):
         TesterConfig(t=4, c_s=0.0)
-    with pytest.raises(ValueError):
-        TesterConfig(t=4, far_factor=0.0)
 
 
 def test_small_threshold_relative_to_n_warns():
@@ -50,7 +52,7 @@ def test_identical_strings_are_close_at_zero():
     assert v.is_close
     assert v.final_a0 == 0
     assert v.mode_transitions == 0
-    assert v.stats.charge_events == []
+    assert _charges(v) == []
 
 
 def test_large_length_gap_is_far_without_reads():
@@ -187,7 +189,7 @@ def test_run_ledgers_are_pinned():
 def test_charge_events_are_ordered_and_in_band():
     x, y = gen_periodic_splice(4096, 2, 5, seed=1, sigma=8)
     v = _run(x, y, t=16, seed=0)
-    events = v.stats.charge_events
+    events = _charges(v)
     assert events == sorted(events, key=lambda e: e[0])
     for row, d in events:
         assert 0 <= row <= len(x)
@@ -205,26 +207,6 @@ def test_close_alignment_decodes_and_validates():
         decoded = type(v.alignment).decode(raw)
         assert decoded == v.alignment
         assert validate_alignment(decoded, x, y) <= 13 * 8 * 8
-
-
-# ---------------------------------------------------------------------------
-# substring-run acceleration changes nothing observable
-
-
-def test_run_table_acceleration_is_transparent():
-    cases = []
-    rng = random.Random(30)
-    for trial in range(6):
-        x = random_bytes(rng, 2048, b"abcd")
-        cases.append((x, mutate(rng, x, trial)))
-    cases.append(gen_periodic_splice(4096, 2, 3, seed=2, sigma=8))
-    cases.append(gen_random_edits(2048, 3, seed=7))
-    for x, y in cases:
-        base = _run(x, y, t=8, seed=5)
-        accel = _run(x, y, t=8, seed=5, lce_acceleration=True)
-        assert accel.answer == base.answer
-        assert accel.final_a0 == base.final_a0
-        assert accel.stats.charge_events == base.stats.charge_events
 
 
 # ---------------------------------------------------------------------------
