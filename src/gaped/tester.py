@@ -201,7 +201,8 @@ def sampling_round(state: ModeState, x, y, cfg: TesterConfig) -> ModeState:
         stats.search_rows.append(rs)
         j = find_period_transition(x, y, period, rs)
         charged = mismatched_diagonals(x, y, j + 1, diags)
-        for d in [d for d in diags if d not in charged]:
+        uncharged = [d for d in diags if d not in charged]
+        for d in uncharged:
             stats.probe_calls += 1
             if probe_diagonal(x, y, d, period.i_pat, rs, state.rate, state.rng_probe):
                 charged.add(d)
