@@ -227,3 +227,16 @@ def test_probe_diagonal_low_rate_samples_each_row_independently():
     )
     # 101 deviating rows: miss probability 0.98**101, mean ~347/400
     assert 300 <= dense <= 390
+
+
+def test_probe_diagonal_rng_consumption_is_pinned():
+    # one draw per kept row: an early hit stops drawing, a miss draws past hi
+    y = _periodic(b"ab", 400)
+    x = bytearray(y)
+    x[150:251] = b"z" * 101
+    rng = random.Random(5)
+    assert probe_diagonal(q(x), q(y), 0, 150, 250, 0.02, rng)
+    assert rng.random() == 0.7417869892607294
+    rng = random.Random(5)
+    assert not probe_diagonal(q(y), q(y), 0, 150, 250, 0.02, rng)
+    assert rng.random() == 0.7951935655656966

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import mutate, random_bytes, ref_edit_distance
+from gaped.generators import gen_random_edits
 from gaped.qstring import QueriedString
 from gaped.sampled import (
     SampledGrid,
@@ -68,6 +69,13 @@ def test_sample_rows_density_tracks_the_rate():
     rate = c_s * math.log(n) / t
     rows = sample_rows(n, t, c_s, random.Random(9))
     assert 0.7 * rate * n <= len(rows) <= 1.3 * rate * n
+
+
+def test_sample_rows_rng_consumption_is_pinned():
+    # rate 0.5 ln(5000) / 64 < 1: one draw per kept row, then the one past n
+    rng = random.Random(3)
+    assert len(sample_rows(5000, 64, 0.5, rng)) == 331
+    assert rng.random() == 0.17977244143167792
 
 
 def test_sample_rows_rejects_bad_threshold():
@@ -159,6 +167,21 @@ def test_far_pairs_are_usually_rejected():
         for s in range(30)
     )
     assert rejections >= 24
+
+
+def test_warm_up_ledgers_are_pinned():
+    # (answer, final_a0, distinct_x, distinct_y, total_accesses) per run
+    def ledger(x, y, t, c_s, seed):
+        v = run_sampled_tester(QueriedString(x), QueriedString(y), t, c_s,
+                               random.Random(seed))
+        led = v.ledger
+        return (v.answer.value, v.final_a0, led.distinct_x, led.distinct_y,
+                led.total_accesses)
+
+    x, y = gen_random_edits(4096, 3, seed=11)  # rate 1 at t=8
+    assert ledger(x, y, 8, 3.0, 2) == ("close", 3, 4096, 4097, 73664)
+    x, y = gen_random_edits(1 << 14, 32, seed=5)  # rate ~0.076
+    assert ledger(x, y, 64, 0.5, 7) == ("close", 22, 1275, 16386, 163565)
 
 
 def test_length_gap_shortcircuits_without_reads():

@@ -1,5 +1,6 @@
 """Adaptive tester: verdicts, mode switching, charge accounting, alignments."""
 
+import hashlib
 import random
 
 import pytest
@@ -146,31 +147,36 @@ def test_sparse_sampling_outcomes_are_seed_stable():
 def _ledger_row(x, y, **kw):
     v = _run(x, y, **kw)
     s = v.stats
+    cert = None if v.alignment is None else (
+        hashlib.sha256(v.alignment.encode()).hexdigest()[:16])
     return (v.answer.value, v.final_a0, v.ledger.distinct_x, v.ledger.distinct_y,
-            v.ledger.total_accesses, s.sampled_rows, s.contiguous_rows, len(s.events))
+            v.ledger.total_accesses, s.sampled_rows, s.contiguous_rows, len(s.events),
+            cert)
 
 
 def test_run_ledgers_are_pinned():
     # (answer, final_a0, distinct_x, distinct_y, total_accesses,
-    #  sampled_rows, contiguous_rows, len(events)) per run
+    #  sampled_rows, contiguous_rows, len(events), certificate sha256 prefix)
+    # per run; the certificate pins where each segment starts and ends
     x, y = gen_periodic_splice(4096, 2, 5, seed=1, sigma=8)
     assert _ledger_row(x, y, t=16, seed=3) == (
-        "close", 9, 4096, 4096, 9954, 3980, 116, 99)
+        "close", 9, 4096, 4096, 9954, 3980, 116, 99, "d7c04c486ae9c935")
     x, y = gen_random_edits(4096, 3, seed=11)  # rate 1 at t=8
     assert _ledger_row(x, y, t=8, seed=2) == (
-        "close", 4, 4096, 4097, 8292, 4077, 20, 28)
+        "close", 4, 4096, 4097, 8292, 4077, 20, 28, "bb75be304bd0bc95")
     x, y = gen_random_edits(1 << 14, 32, seed=5)
     assert _ledger_row(x, y, t=64, epsilon=0.5, c_s=0.5, seed=7) == (
-        "close", 30, 10238, 10317, 27268, 9388, 852, 1472)
+        "close", 30, 10238, 10317, 27268, 9388, 852, 1472,
+        "75be68f3b7e50678")
     rng = random.Random(21)
     x = random_bytes(rng, 4096)
     y = x[:1000] + x[1003:2500] + b"c" + x[2500:]
     assert _ledger_row(x, y, t=8, seed=4) == (
-        "close", 6, 4096, 4094, 8304, 4083, 13, 36)
+        "close", 6, 4096, 4094, 8304, 4083, 13, 36, "0662abf3995b3bd5")
     assert _ledger_row(y, x, t=8, seed=4) == (
-        "close", 6, 4094, 4096, 8310, 4081, 15, 40)
+        "close", 6, 4094, 4096, 8310, 4081, 15, 40, "324cd96d8cd56e41")
     x, y = gen_independent_random(4096, seed=3, sigma=8)
-    assert _ledger_row(x, y, t=4, seed=1) == ("far", 5, 6, 6, 46, 1, 5, 13)
+    assert _ledger_row(x, y, t=4, seed=1) == ("far", 5, 6, 6, 46, 1, 5, 13, None)
     # the selective scan: (result, distinct_x, distinct_y, total_accesses)
     for (n, k, t, gseed), pinned in {
         (2000, 5, 16, 8): (5, 2000, 1998, 4314),
