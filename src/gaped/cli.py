@@ -46,6 +46,8 @@ from .tester import run as run_main_tester
 from .verdict import Answer
 
 SCHEMA_VERSION = 2
+# gen's meta.json layout is versioned apart from the run report's.
+META_SCHEMA_VERSION = 2
 
 _FAMILY_FLAGS = {
     "random-edits": "random_edits",
@@ -217,7 +219,7 @@ def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     meta = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": META_SCHEMA_VERSION,
         "family": spec.family,
         "n": spec.n,
         "seed": spec.seed,
@@ -272,6 +274,8 @@ def cmd_bench(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--n-grid and --t-grid take comma-separated integers")
     if not n_grid or not t_grid:
         parser.error("--n-grid and --t-grid must be non-empty")
+    if min(n_grid + t_grid) < 1:
+        parser.error("--n-grid and --t-grid values must be at least 1")
     family = _FAMILY_FLAGS[args.family]
     seed = _resolve_seed(args.seed)
     tasks = [
@@ -280,11 +284,15 @@ def cmd_bench(args, parser: argparse.ArgumentParser) -> int:
         for t in t_grid
         for trial in range(args.trials)
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_bench_task, *zip(*tasks)))
-    else:
-        results = [_bench_task(*task) for task in tasks]
+    try:
+        if args.workers > 1:
+            # The pool re-raises a worker's exception here, in the parent.
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                results = list(pool.map(_bench_task, *zip(*tasks)))
+        else:
+            results = [_bench_task(*task) for task in tasks]
+    except ValueError as exc:
+        parser.error(str(exc))
     # Task order is the merge order, so scheduling never reorders rows.
     by_cell: dict[tuple[int, int], list] = {}
     for n, t, trial, distinct, far, wall in results:
@@ -372,16 +380,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_sampling_flags(args, parser: argparse.ArgumentParser) -> None:
+    if not 0.0 <= args.eps < 1.0:
+        parser.error("--eps must lie in [0, 1)")
+    if args.cs <= 0:
+        parser.error("--cs must be positive")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "run":
         if args.t < 1:
             parser.error("t must be a positive integer")
-        if not 0.0 <= args.eps < 1.0:
-            parser.error("--eps must lie in [0, 1)")
-        if args.cs <= 0:
-            parser.error("--cs must be positive")
+        _check_sampling_flags(args, parser)
         if args.far_factor <= 0:
             parser.error("--far-factor must be positive")
         return cmd_run(args)
@@ -393,6 +405,7 @@ def main(argv=None) -> int:
         parser.error("--trials cannot be negative")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
+    _check_sampling_flags(args, parser)
     return cmd_bench(args, parser)
 
 

@@ -182,13 +182,10 @@ def probe_diagonal(x, y, d: int, lo: int, hi: int, rate: float, rng) -> bool:
     skipping; rate >= 1 checks every row without consuming randomness.
     Out-of-range pairs are skipped.
     """
-    if rate >= 1.0:
-        j = lo
-    else:
-        j = lo - 1 + geometric_gap(rate, rng)
+    j = lo - 1 + geometric_gap(rate, rng)
     while j <= hi:
         if 0 <= j < len(x) and 0 <= j + d < len(y):
             if x.read(j) != y.read(j + d):
                 return True
-        j += 1 if rate >= 1.0 else geometric_gap(rate, rng)
+        j += geometric_gap(rate, rng)
     return False

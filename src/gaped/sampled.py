@@ -36,6 +36,17 @@ def geometric_gap(rate: float, rng) -> int:
     return 1 + int(math.log(1.0 - u) / math.log(1.0 - rate))
 
 
+def sampling_rate(n: int, t: int, c_s: float, epsilon: float = 0.0) -> float:
+    """Row sampling rate min(1, c_s*ln(n)/t^(1-epsilon)); 1 when n <= 0.
+
+    epsilon = 0 is the warm-up tester's rate; the main tester raises the
+    exponent to trade queries for gap.
+    """
+    if n <= 0:
+        return 1.0
+    return min(1.0, c_s * math.log(max(n, 2)) / (t ** (1.0 - epsilon)))
+
+
 def sample_rows(n: int, t: int, c_s: float, rng) -> list[int]:
     """Sorted sample: row 0 plus each row in [1..n] kept w.p. c_s*ln(n)/t.
 
@@ -44,11 +55,8 @@ def sample_rows(n: int, t: int, c_s: float, rng) -> list[int]:
     """
     if t < 1:
         raise ValueError("band radius t must be >= 1")
-    p = min(1.0, c_s * math.log(max(n, 2)) / t) if n > 0 else 1.0
+    p = sampling_rate(n, t, c_s)
     rows = [0]
-    if p >= 1.0:
-        rows.extend(range(1, n + 1))
-        return rows
     r = 0
     while True:
         r += geometric_gap(p, rng)
@@ -72,10 +80,6 @@ class SampledGrid:
             raise ValueError("rows must be strictly increasing")
         if self.rows[-1] > self.n:
             raise ValueError("rows must not pass the final row")
-
-    @classmethod
-    def build(cls, n: int, t: int, c_s: float, rng) -> "SampledGrid":
-        return cls(rows=tuple(sample_rows(n, t, c_s, rng)), t=t, n=n)
 
 
 def shortest_path_cost(grid: SampledGrid, x, y) -> int:
@@ -137,7 +141,8 @@ def run_sampled_tester(x, y, t: int, c_s: float, rng) -> Verdict:
     x, y = as_queried(x), as_queried(y)
     if abs(len(y) - len(x)) > t:
         return Verdict(Answer.FAR, t + 1, ledger_snapshot(x, y), 0)
-    grid = SampledGrid.build(len(x), t, c_s, rng)
+    n = len(x)
+    grid = SampledGrid(rows=tuple(sample_rows(n, t, c_s, rng)), t=t, n=n)
     cost = shortest_path_cost(grid, x, y)
     answer = Answer.CLOSE if cost <= t else Answer.FAR
     return Verdict(answer, min(cost, t + 1), ledger_snapshot(x, y), 0)

@@ -37,7 +37,7 @@ from .periodicity import (
     row_deviates,
 )
 from .qstring import as_queried, bytes_match, ledger_snapshot
-from .sampled import geometric_gap
+from .sampled import geometric_gap, sampling_rate
 # is_potent is called by advance_row, not here; it stays bound in this module
 # because profiling harnesses rebind the tester's names by module attribute.
 from .scan import CostArray, advance_row, is_potent  # noqa: F401
@@ -79,11 +79,8 @@ class RunStats:
     to_sampling: int = 0
     contiguous_rows: int = 0
     sampled_rows: int = 0
-    shift_checks: int = 0
-    periodicity_checks: int = 0
     binary_searches: int = 0
     search_rows: list[int] = field(default_factory=list)
-    probe_calls: int = 0
     length_shortcircuit: bool = False
     segments: list[tuple[int, int, int]] = field(default_factory=list)
     events: list[tuple[int, int, str]] = field(default_factory=list)
@@ -100,14 +97,12 @@ class ModeState:
     costs: CostArray
     period: PeriodState | None
     quiet_rows: int
-    n: int = 0
     rate: float = 1.0
     rng_rows: random.Random | None = None
     rng_probe: random.Random | None = None
     stats: RunStats | None = None
     rep_d: int = 0
     seg_start: int = 0
-    boundary_row: int = 0
 
 
 def _split_streams(seed) -> tuple[random.Random, random.Random]:
@@ -118,7 +113,7 @@ def _split_streams(seed) -> tuple[random.Random, random.Random]:
 def initial_state(x, y, cfg: TesterConfig) -> ModeState:
     """Fresh run state: sampling mode on diagonal 0 at the first sample."""
     n = max(len(x), len(y))
-    rate = min(1.0, cfg.c_s * math.log(max(n, 2)) / (cfg.t ** (1.0 - cfg.epsilon)))
+    rate = sampling_rate(n, cfg.t, cfg.c_s, cfg.epsilon)
     rng_rows, rng_probe = _split_streams(cfg.seed)
     return ModeState(
         mode=Mode.SAMPLING,
@@ -127,7 +122,6 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
         costs=CostArray(cfg.t),
         period=None,
         quiet_rows=0,
-        n=n,
         rate=rate,
         rng_rows=rng_rows,
         rng_probe=rng_probe,
@@ -135,7 +129,7 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
     )
 
 
-def contiguous_round(state: ModeState, x, y, cfg: TesterConfig) -> ModeState:
+def contiguous_round(state: ModeState, x, y, cfg: TesterConfig) -> None:
     """Process one contiguous row, then switch to sampling if quiet.
 
     The row goes through scan.advance_row with the finishing diagonal 0:
@@ -152,12 +146,12 @@ def contiguous_round(state: ModeState, x, y, cfg: TesterConfig) -> ModeState:
     nxt, charged = advance_row(state.costs, state.diagonals, i, x, y)
     stats.events.extend((i, d, SUBSTITUTION) for d in charged)
     state.diagonals = nxt
+    _update_representative(state, i + 1)
     state.quiet_rows = 0 if charged else state.quiet_rows + 1
     state.i = i + 1
-    state.boundary_row = state.i
     stats.contiguous_rows += 1
     if not nxt:
-        return state
+        return
     if len(nxt) >= 2:
         need = 2 * (nxt[-1] - nxt[0]) + 1
     else:
@@ -171,67 +165,60 @@ def contiguous_round(state: ModeState, x, y, cfg: TesterConfig) -> ModeState:
         state.mode = Mode.SAMPLING
         stats.to_sampling += 1
         state.i = state.i - 1 + geometric_gap(state.rate, state.rng_rows)
-    return state
 
 
-def sampling_round(state: ModeState, x, y, cfg: TesterConfig) -> ModeState:
+def sampling_round(state: ModeState, x, y, cfg: TesterConfig) -> None:
     """Process one sampled row.
 
-    With several active diagonals, verify the period pattern at this row
-    (x directly, y along the highest diagonal); with one, compare the
-    shifted characters.  A pass hops to the next sampled row.  A failure
+    With a captured period (several active diagonals), verify the period
+    pattern at this row (x directly, y along the highest diagonal); with
+    one diagonal, compare the shifted characters.  A pass hops to the next
+    sampled row.  A failure charges the lone diagonal, or, with a period,
     pins down the transition row by binary search, charges every diagonal
-    with a direct mismatch in the transition window, probes the at most
-    one uncharged survivor on an independent sample stream, and drops
-    back to contiguous mode on the next row.
+    with a direct mismatch in the transition window and probes the
+    uncharged survivors on an independent sample stream.  The charged
+    diagonals spread to their neighbours and the tester drops back to
+    contiguous mode on the next row.
     """
     t = cfg.t
     costs = state.costs
     stats = state.stats
     diags = state.diagonals
+    period = state.period
     rs = state.i
     stats.sampled_rows += 1
-    if len(diags) > 1:
-        period = state.period
-        stats.periodicity_checks += 1
-        if not row_deviates(x, y, period, rs):
-            state.i = rs + geometric_gap(state.rate, state.rng_rows)
-            return state
+    if period is None:
+        passed = bytes_match(x.read(rs), y.read(rs + diags[0]))
+    else:
+        passed = not row_deviates(x, y, period, rs)
+    if passed:
+        state.i = rs + geometric_gap(state.rate, state.rng_rows)
+        return
+    if period is None:
+        charged = {diags[0]}
+    else:
         stats.binary_searches += 1
         stats.search_rows.append(rs)
         j = find_period_transition(x, y, period, rs)
         charged = mismatched_diagonals(x, y, j + 1, diags)
         uncharged = [d for d in diags if d not in charged]
         for d in uncharged:
-            stats.probe_calls += 1
             if probe_diagonal(x, y, d, period.i_pat, rs, state.rate, state.rng_probe):
                 charged.add(d)
-        for d in diags:
-            costs.mark_potent(d, rs)
-        live = set(diags)
-        for d in sorted(charged):
-            costs.charge(d, rs)
-            stats.events.append((rs, d, SUBSTITUTION))
-            live.update(dd for dd in (d - 1, d + 1) if -t <= dd <= t)
-        nxt = sorted(live)
-        state.period = None
-    else:
-        d = diags[0]
-        stats.shift_checks += 1
-        if bytes_match(x.read(rs), y.read(rs + d)):
-            state.i = rs + geometric_gap(state.rate, state.rng_rows)
-            return state
+    live = set(diags)
+    for d in diags:
         costs.mark_potent(d, rs)
+    for d in sorted(charged):
         costs.charge(d, rs)
         stats.events.append((rs, d, SUBSTITUTION))
-        nxt = [dd for dd in (d - 1, d, d + 1) if -t <= dd <= t]
-    state.diagonals = nxt
+        live.update(dd for dd in (d - 1, d + 1) if -t <= dd <= t)
+    # The active set only grows here, so the representative stays in it.
+    state.diagonals = sorted(live)
+    state.period = None
     state.mode = Mode.CONTIGUOUS
     stats.to_contiguous += 1
     state.quiet_rows = 0
     state.i = rs + 1
-    state.boundary_row = state.i
-    return state
 
 
 def _move_representative(state: ModeState, new: int, row: int) -> None:
@@ -246,26 +233,21 @@ def _move_representative(state: ModeState, new: int, row: int) -> None:
     state.seg_start = row
 
 
-def _update_representative(state: ModeState) -> None:
+def _update_representative(state: ModeState, row: int) -> None:
     """Keep the alignment's current diagonal inside the active set.
 
-    While the representative survives, its segment grows; when it drops
-    out, the segment closes at the boundary row and the cheapest surviving
-    diagonal (ties to the center) takes over.
+    Called by the contiguous round, the only one that can drop diagonals,
+    with the row the change takes effect at.  While the representative
+    survives, its segment grows; when it drops out, the segment closes at
+    `row` and the cheapest surviving diagonal (ties to the center) takes
+    over.
     """
     diags = state.diagonals
     if not diags or state.rep_d in diags:
         return
     costs = state.costs
     new = min(diags, key=lambda d: (costs.cost(d), abs(d), d))
-    _move_representative(state, new, min(state.boundary_row, state.n))
-
-
-def emit_alignment(stats: RunStats) -> SuccinctAlignment:
-    """Package a close run's trace as a succinct alignment."""
-    if stats.answer is not Answer.CLOSE:
-        raise ValueError("alignment is only defined for close runs")
-    return SuccinctAlignment(segments=tuple(stats.segments), events=tuple(stats.events))
+    _move_representative(state, new, row)
 
 
 def run(x, y, cfg: TesterConfig) -> Verdict:
@@ -284,35 +266,28 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
             "is only argued for t up to sqrt(n)",
             stacklevel=2,
         )
-    stats = RunStats()
     if abs(len(x) - len(y)) > t:
-        stats.length_shortcircuit = True
-        stats.answer = Answer.FAR
+        stats = RunStats(length_shortcircuit=True, answer=Answer.FAR)
         return Verdict(Answer.FAR, t + 1, ledger_snapshot(x, y), 0, None, stats)
     state = initial_state(x, y, cfg)
-    state.stats = stats
-    answer = None
+    stats = state.stats
+    answer = Answer.CLOSE
     while state.i < n:
         if state.mode is Mode.CONTIGUOUS:
             contiguous_round(state, x, y, cfg)
         else:
             sampling_round(state, x, y, cfg)
-        _update_representative(state)
-        if state.costs.cost(0) > t:
+        if state.costs.cost(0) > t or not state.diagonals:
             answer = Answer.FAR
             break
-        if not state.diagonals:
-            answer = Answer.FAR
-            break
-    if answer is None:
-        answer = Answer.CLOSE
     stats.answer = answer
     alignment = None
     if answer is Answer.CLOSE:
         if state.rep_d != 0:
             _move_representative(state, 0, n)
         stats.segments.append((state.seg_start, n, state.rep_d))
-        alignment = emit_alignment(stats)
+        alignment = SuccinctAlignment(segments=tuple(stats.segments),
+                                      events=tuple(stats.events))
     return Verdict(
         answer=answer,
         final_a0=min(state.costs.cost(0), t + 1),

@@ -45,6 +45,13 @@ def random_bytes(rng: random.Random, n: int, alpha: bytes = b"abcd") -> bytes:
     return bytes(rng.choices(alpha, k=n))
 
 
+class Boom:
+    """An RNG stand-in for code that must not draw: any draw fails the test."""
+
+    def random(self):
+        raise AssertionError("rate 1 must not consume randomness")
+
+
 def ref_banded_costs(x: bytes, y: bytes, t: int) -> list[list[int]]:
     """Band-restricted grid costs over y padded with unique sentinels.
 

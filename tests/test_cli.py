@@ -162,6 +162,7 @@ def test_gen_writes_instance_with_meta(tmp_path):
     assert meta["family"] == "random_edits"
     assert meta["n"] == 500 and meta["seed"] == 9
     assert meta["len_x"] == 500
+    assert meta["schema_version"] == 2
     x, y = gen_random_edits(500, 3, seed=9)
     assert (out_dir / "x.bin").read_bytes() == x
     assert (out_dir / "y.bin").read_bytes() == y
@@ -222,17 +223,23 @@ def test_bench_workers_do_not_change_the_output():
     assert serial == parallel
 
 
-def test_bench_flag_validation_exits_2():
+def test_bench_flag_validation_exits_2(capsys):
     bad = (
         ["bench", "--n-grid", "abc", "--t-grid", "4"],
         ["bench", "--n-grid", "", "--t-grid", "4"],
         ["bench", "--n-grid", "256", "--t-grid", "4", "--trials", "-1"],
         ["bench", "--n-grid", "256", "--t-grid", "4", "--workers", "0"],
+        ["bench", "--family", "periodic-splice", "--n-grid", "64", "--t-grid", "4"],
+        ["bench", "--family", "random-edits", "--n-grid", "1", "--t-grid", "8"],
+        ["bench", "--n-grid", "256", "--t-grid", "0"],
+        ["bench", "--n-grid", "256", "--t-grid", "4", "--cs", "0"],
+        ["bench", "--n-grid", "256", "--t-grid", "4", "--eps", "1.5"],
     )
     for argv in bad:
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2, argv
+        assert "Traceback" not in capsys.readouterr().err, argv
 
 
 # ---------------------------------------------------------------------------

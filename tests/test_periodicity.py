@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import Boom
 from gaped.periodicity import (
     PeriodState,
     PeriodTransitionError,
@@ -195,7 +196,7 @@ def test_mismatched_diagonals_truncates_at_string_end():
 def test_probe_diagonal_rate_one_is_exhaustive():
     x = bytearray(_periodic(b"ab", 60))
     y = bytes(x)
-    rng = random.Random(0)
+    rng = Boom()
     assert not probe_diagonal(q(x), q(y), 0, 10, 50, 1.0, rng)
     x[37] = ord("z")
     assert probe_diagonal(q(x), q(y), 0, 10, 50, 1.0, rng)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import mutate, random_bytes, ref_edit_distance
+from conftest import Boom, mutate, random_bytes, ref_edit_distance
 from gaped.generators import gen_random_edits
 from gaped.qstring import QueriedString
 from gaped.sampled import (
@@ -22,10 +22,6 @@ from gaped.sampled import (
 
 
 def test_geometric_gap_rate_one_is_deterministic():
-    class Boom:
-        def random(self):
-            raise AssertionError("rate 1 must not consume randomness")
-
     assert all(geometric_gap(1.0, Boom()) == 1 for _ in range(5))
     assert geometric_gap(2.5, Boom()) == 1
 
@@ -60,7 +56,7 @@ def test_sample_rows_always_includes_row_zero_and_stays_sorted():
 
 def test_sample_rows_rate_clamps_to_every_row():
     # c_s * ln(n) / t >= 1 keeps every row
-    rows = sample_rows(200, 2, 3.0, random.Random(0))
+    rows = sample_rows(200, 2, 3.0, Boom())
     assert rows == list(range(201))
 
 

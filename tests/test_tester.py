@@ -222,6 +222,7 @@ def test_close_alignment_decodes_and_validates():
 def test_epsilon_raises_the_sampling_rate_exponent():
     import math
 
+    from gaped.sampled import sampling_rate
     from gaped.tester import initial_state
 
     n, t = 1 << 16, 64
@@ -232,3 +233,6 @@ def test_epsilon_raises_the_sampling_rate_exponent():
     r_flat = min(1.0, 3.0 * math.log(n) / t)
     assert s0.rate == pytest.approx(r_eps)
     assert s1.rate == pytest.approx(r_flat)
+    assert sampling_rate(n, t, 3.0, 0.5) == s0.rate
+    assert sampling_rate(n, t, 3.0) == s1.rate
+    assert sampling_rate(0, t, 3.0) == 1.0
