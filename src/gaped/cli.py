@@ -37,7 +37,7 @@ from .generators import (
     instantiate,
     write_instance,
 )
-from .oracle import edit_distance
+from .oracle import banded_edit_distance
 from .qstring import QueriedString, ledger_snapshot
 from .sampled import run_sampled_tester
 from .scan import selective_scan
@@ -130,9 +130,9 @@ def cmd_run(args) -> int:
     started = time.perf_counter_ns()
     transitions = 0
     if args.algo == "oracle":
-        dist = edit_distance(x, y)
-        answer = Answer.CLOSE if dist <= args.t else Answer.FAR
-        final_a0 = min(dist, args.t + 1)
+        dist = banded_edit_distance(x, y, args.t)
+        answer = Answer.CLOSE if dist is not None else Answer.FAR
+        final_a0 = dist if dist is not None else args.t + 1
     elif args.algo == "scan":
         res = selective_scan(x, y, args.t)
         answer = Answer.CLOSE if res is not None else Answer.FAR
@@ -377,6 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--workers", type=int, default=1)
     b.add_argument("--stable-output", action="store_true")
 
+    for sp in (r, g, b):
+        sp.set_defaults(command_parser=sp)
     return p
 
 
@@ -388,8 +390,9 @@ def _check_sampling_flags(args, parser: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Errors go through the subcommand's own parser, so usage names it.
+    parser = args.command_parser
     if args.command == "run":
         if args.t < 1:
             parser.error("t must be a positive integer")

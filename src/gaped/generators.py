@@ -218,11 +218,10 @@ def certified_delta(x: bytes, y: bytes, *, ceiling: int = ORACLE_CEILING) -> int
 def certify_far(x: bytes, y: bytes, threshold: int) -> bool:
     """Exact certificate that the distance exceeds threshold.
 
-    Uses the full oracle at desk scale and the banded oracle above it (a
-    banded pass that finds no path within the band proves the bound).
+    One path at every size: the banded oracle with band = threshold.  It
+    returns None exactly when no alignment costs threshold or less, in
+    O(n + threshold^2) time.
     """
-    if max(len(x), len(y)) <= ORACLE_CEILING:
-        return edit_distance(x, y) > threshold
     return banded_edit_distance(x, y, threshold) is None
 
 

@@ -1,8 +1,8 @@
 """Exact edit-distance oracles over the diagonal grid.
 
-Reference implementations with unrestricted time and queries: the full
-dynamic program, a banded variant, grid-cell costs in (row, diagonal)
-coordinates, an optimal alignment with a fixed tie-break, and the
+Reference implementations with unrestricted queries: the full dynamic
+program, the diagonal-transition banded oracle, grid-cell costs in (row,
+diagonal) coordinates, an optimal alignment with a fixed tie-break, and the
 brute-force potent-diagonal sets that the selective scan is checked against.
 
 Coordinates are 0-based throughout.  Cell ``(i, d)`` holds the edit distance
@@ -23,6 +23,8 @@ import numpy as np
 from .qstring import QueriedString, ascii_bytes, bytes_match
 
 INF = 1 << 28
+_UNREACHED = -(1 << 40)  # far[] of a diagonal no path has reached
+_GATHER = 4096  # elements per read-ahead gather of the banded slide
 
 
 def _raw(s: QueriedString | bytes | bytearray | str) -> bytes:
@@ -37,69 +39,101 @@ def _as_u8(b: bytes) -> np.ndarray:
     return np.frombuffer(b, dtype=np.uint8)
 
 
-def edit_distance(x, y) -> int:
-    """Exact edit distance by the full DP, two rows at a time.
+def _dp_rows(bx: bytes, by: bytes):
+    """Rows 0..|x| of the full DP, each a fresh array of |y| + 1 costs.
 
     Row update: substitutions and deletions vectorize directly; the
     within-row insertion chain is min(tmp[k] + (j - k)) over k <= j, which
     is a running minimum of tmp[k] - k.
     """
-    bx, by = _raw(x), _raw(y)
-    nx, ny = len(bx), len(by)
-    if nx == 0:
-        return ny
-    if ny == 0:
-        return nx
     xa, ya = _as_u8(bx), _as_u8(by)
-    idx = np.arange(ny + 1, dtype=np.int32)
-    prev = idx.copy()
-    tmp = np.empty(ny + 1, dtype=np.int32)
-    for i in range(1, nx + 1):
+    idx = np.arange(len(by) + 1, dtype=np.int32)
+    row = idx
+    yield row
+    tmp = np.empty(len(by) + 1, dtype=np.int32)
+    for i in range(1, len(bx) + 1):
         tmp[0] = i
-        np.minimum(prev[:-1] + (ya != xa[i - 1]), prev[1:] + 1, out=tmp[1:])
-        prev = np.minimum.accumulate(tmp - idx) + idx
-    return int(prev[ny])
+        np.minimum(row[:-1] + (ya != xa[i - 1]), row[1:] + 1, out=tmp[1:])
+        row = np.minimum.accumulate(tmp - idx) + idx
+        yield row
+
+
+def edit_distance(x, y) -> int:
+    """Exact edit distance by the full DP, keeping one row at a time."""
+    bx, by = _raw(x), _raw(y)
+    if not bx or not by:
+        return len(bx) + len(by)
+    for row in _dp_rows(bx, by):
+        pass
+    return int(row[-1])
 
 
 def banded_edit_distance(x, y, band: int) -> int | None:
-    """Edit distance restricted to diagonals [-band, band].
+    """Edit distance when it is <= band, else None; O(n + band^2) time.
 
-    Returns the exact edit distance when it is <= band, else None: a None
-    proves the true distance exceeds band, because any alignment leaving
-    the band already pays more than band.
+    Diagonal transition (Ukkonen 1985; Myers 1986): ``far[d]`` is the
+    furthest row reachable on diagonal d at cost <= k.  Level k takes the
+    best of a substitution (far[d] + 1), a deletion from d + 1 (far[d+1]
+    + 1) and an insertion from d - 1 (far[d-1]), capped at the last row of
+    the diagonal, then slides down while x[i] == y[i + d].  The answer is
+    the first k whose slide on d_end = |y| - |x| reaches row |x|.
+
+    Cut-off: a cell of cost k still owes |d - d_end| diagonal moves, so
+    level k only updates diagonals with |d| <= k and |d - d_end| <= band - k.
+    A None therefore proves the distance exceeds band.  Both strings are
+    read in full first, so the ledger is the same on every path.
     """
     bx, by = _raw(x), _raw(y)
     nx, ny = len(bx), len(by)
-    if abs(ny - nx) > band:
+    d_end = ny - nx
+    if abs(d_end) > band:
         return None
-    if nx == 0 or ny == 0:
-        return max(nx, ny)
-    width = 2 * band + 1
-    # y padded so the slice y[i-1-band : i-1+band+1] always exists even when
-    # x is the longer string; the pad value never equals a byte, and padded
-    # cells are invalid anyway.
-    ypad = np.full(max(nx, ny) + 2 * band + 2, -1, dtype=np.int16)
-    ypad[band : band + ny] = _as_u8(by)
-    xa = _as_u8(bx).astype(np.int16)
-    offs = np.arange(width, dtype=np.int32)  # column k holds diagonal k - band
-    diag = offs - band
-    cur = np.where(diag >= 0, diag, INF).astype(np.int32)  # row 0
-    tmp = np.empty(width, dtype=np.int32)
-    shift = np.empty(width, dtype=np.int32)
-    for i in range(1, nx + 1):
-        neq = ypad[i - 1 : i - 1 + width] != xa[i - 1]
-        np.add(cur, neq, out=tmp)  # stay on diagonal
-        shift[:-1] = cur[1:]
-        shift[-1] = INF
-        np.minimum(tmp, shift + 1, out=tmp)  # delete x[i-1]
-        invalid = i + diag < 0
-        tmp[invalid] = INF
-        cur = np.minimum.accumulate(tmp - offs) + offs  # insertion chain
-        cur[invalid] = INF
-        cur[i + diag > ny] = INF
-        np.minimum(cur, INF, out=cur)
-    result = int(cur[(ny - nx) + band])
-    return result if result <= band else None
+    # Distinct pads past each end: a read there never matches.
+    xp = np.append(_as_u8(bx).astype(np.int16), -1)
+    yp = np.append(_as_u8(by).astype(np.int16), -2)
+    o = band + 1  # column of diagonal 0; one unreached column on each side
+    diag = np.arange(-o, o + 1)
+    lim = np.minimum(nx, ny - diag)  # last row of each diagonal
+    first = np.maximum(0, -diag)  # first row of each diagonal
+    far = np.full(diag.size, _UNREACHED, dtype=np.int64)
+    far[o] = -1  # so level 0 starts diagonal 0 at row 0
+    for k in range(band + 1):
+        lo = max(-k, d_end - (band - k)) + o
+        hi = min(k, d_end + (band - k)) + o + 1
+        row = np.maximum(np.maximum(far[lo:hi], far[lo + 1 : hi + 1]) + 1,
+                         far[lo - 1 : hi - 1])
+        np.minimum(row, lim[lo:hi], out=row)
+        row[row < first[lo:hi]] = _UNREACHED
+        _slide(row, diag[lo:hi], xp, yp)
+        far[lo:hi] = row
+        if far[d_end + o] == nx:
+            return k
+    return None
+
+
+def _slide(rows: np.ndarray, ds: np.ndarray, xp: np.ndarray, yp: np.ndarray) -> None:
+    """Advance each reached row in place while xp[i] == yp[i + d].
+
+    One compare over every diagonal first, since most stop at once; the
+    rest read ahead in 2-D gathers of at most _GATHER elements, reading
+    twice as far on each pass.
+    """
+    nx, ny = xp.size - 1, yp.size - 1
+    live = np.flatnonzero(rows >= 0)
+    r = rows[live]
+    live = live[xp[r] == yp[r + ds[live]]]
+    rows[live] += 1
+    span = 8
+    while live.size:
+        part, live = live[:_GATHER], live[_GATHER:]
+        span = min(span, _GATHER // part.size)
+        r = rows[part][:, None] + np.arange(span)
+        miss = xp[np.minimum(r, nx)] != yp[np.minimum(r + ds[part][:, None], ny)]
+        stop = miss.argmax(axis=1)
+        done = miss[np.arange(part.size), stop]
+        rows[part] += np.where(done, stop, span)
+        live = np.concatenate((part[~done], live))
+        span *= 2
 
 
 def grid_cost(x, y, i: int, d: int) -> int:
@@ -114,23 +148,7 @@ def grid_cost(x, y, i: int, d: int) -> int:
 
 def full_cost_table(x, y) -> np.ndarray:
     """The whole (|x|+1) x (|y|+1) DP matrix.  Test-only: desk-scale sizes."""
-    bx, by = _raw(x), _raw(y)
-    nx, ny = len(bx), len(by)
-    m = np.empty((nx + 1, ny + 1), dtype=np.int32)
-    idx = np.arange(ny + 1, dtype=np.int32)
-    m[0] = idx
-    if nx == 0:
-        return m
-    ya = _as_u8(by)
-    xa = _as_u8(bx)
-    tmp = np.empty(ny + 1, dtype=np.int32)
-    for i in range(1, nx + 1):
-        prev = m[i - 1]
-        tmp[0] = i
-        if ny:
-            np.minimum(prev[:-1] + (ya != xa[i - 1]), prev[1:] + 1, out=tmp[1:])
-        m[i] = np.minimum.accumulate(tmp - idx) + idx
-    return m
+    return np.stack(list(_dp_rows(_raw(x), _raw(y))))
 
 
 # ---------------------------------------------------------------------------

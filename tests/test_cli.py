@@ -7,12 +7,15 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import gaped
 from gaped.cli import BENCH_FIELDS, RunReport, main
-from gaped.generators import gen_random_edits
+from gaped.generators import gen_independent_random, gen_random_edits
+from gaped.oracle import edit_distance
+from gaped.qstring import QueriedString
 
 
 def run_cli(argv):
@@ -56,6 +59,25 @@ def test_run_all_algorithms_agree_on_a_close_pair(pair):
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "close", algo
+
+
+def test_run_oracle_report_equals_the_full_dp_answer(pair, tmp_path):
+    # The banded oracle answers; the full DP reads the same positions and
+    # gives the verdict and final_a0 the report must carry.
+    far_x, far_y = gen_independent_random(300, 4)
+    (tmp_path / "fx.bin").write_bytes(far_x)
+    (tmp_path / "fy.bin").write_bytes(far_y)
+    for xp, yp in (pair, (str(tmp_path / "fx.bin"), str(tmp_path / "fy.bin"))):
+        x, y = (QueriedString(Path(p).read_bytes()) for p in (xp, yp))
+        dist = edit_distance(x, y)
+        _, out = run_cli(["run", "--algo", "oracle", "--x", xp, "--y", yp,
+                          "-t", "8", "--stable-output"])
+        rep = json.loads(out)
+        assert (rep["verdict"], rep["final_a0"]) == (
+            ("close", dist) if dist <= 8 else ("far", 9))
+        assert (rep["distinct_x"], rep["distinct_y"], rep["total_accesses"]) == (
+            x.distinct, y.distinct, x.total + y.total)
+    assert dist > 8  # the second pair is far
 
 
 def test_run_csv_header_matches_report_fields(pair):
@@ -179,13 +201,14 @@ def test_gen_no_certify_skips_the_oracle(tmp_path):
     assert summary["delta_bound"] == 3  # one half-period window per change
 
 
-def test_gen_missing_family_parameter_exits_2(tmp_path):
+def test_gen_missing_family_parameter_exits_2(tmp_path, capsys):
     for family, missing in (("random-edits", "--k"), ("block-shift", "--blocks"),
                             ("periodic-splice", "--period")):
         with pytest.raises(SystemExit) as exc:
             run_cli(["gen", "--family", family, "--out", str(tmp_path / "d"),
                      "-n", "100"])
         assert exc.value.code == 2, missing
+        assert "usage: gaped gen" in capsys.readouterr().err, missing
 
 
 def test_gen_invalid_generator_arguments_exit_2(tmp_path):
@@ -239,7 +262,9 @@ def test_bench_flag_validation_exits_2(capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2, argv
-        assert "Traceback" not in capsys.readouterr().err, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, argv
+        assert "usage: gaped bench" in err, argv
 
 
 # ---------------------------------------------------------------------------

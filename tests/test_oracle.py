@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mutate, random_bytes, ref_banded_costs, ref_edit_distance
+import gaped.oracle
 from gaped.oracle import (
     banded_cost_table,
     banded_edit_distance,
@@ -69,6 +70,56 @@ def test_banded_none_is_a_certificate():
     for band in range(8):
         assert banded_edit_distance(x, y, band) is None
     assert banded_edit_distance(x, y, 8) == 8
+
+
+@st.composite
+def periodic_pairs(draw):
+    """A g-periodic x over sigma letters, y = x after a few edits, maybe swapped."""
+    g = draw(st.integers(min_value=1, max_value=3))
+    sigma = draw(st.integers(min_value=1, max_value=3))
+    base = draw(st.lists(st.sampled_from(b"abc"[:sigma]), min_size=g, max_size=g))
+    n = draw(st.integers(min_value=0, max_value=600))
+    x = bytes(base) * (n // g) + bytes(base[: n % g])
+    rng = random.Random(draw(st.integers(min_value=0, max_value=1 << 30)))
+    y = mutate(rng, x, draw(st.integers(min_value=0, max_value=8)), b"abc")
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@given(pair=periodic_pairs(), band=st.integers(min_value=0, max_value=40))
+@settings(max_examples=300, deadline=None)
+def test_banded_agrees_with_full_on_long_periodic_pairs(pair, band):
+    # Long matching runs on many diagonals at once: slides cross gather
+    # chunks, and the live range is clipped at d_end.
+    x, y = pair
+    d = edit_distance(x, y)
+    assert banded_edit_distance(x, y, band) == (d if d <= band else None)
+
+
+@pytest.mark.parametrize("gather", [4096, 7, 1])
+def test_banded_slides_many_diagonals_in_chunks(monkeypatch, gather):
+    # Every live diagonal slides through the long run at once, so the
+    # read-ahead is split across gathers, and the diagonal that reaches
+    # the end can sit in any of them.
+    monkeypatch.setattr(gaped.oracle, "_GATHER", gather)
+    a = b"a" * 3000
+    cases = ((a, b"a" * 2990 + b"b" * 10, 10), (a, b"b" * 10 + a, 10),
+             (a, a[:2950], 50), (b"ab" * 1500, b"ba" * 1500, 2))
+    for x, y, dist in cases:
+        for band in (0, dist - 1, dist, dist + 1, 64):
+            want = dist if band >= dist else None
+            assert banded_edit_distance(x, y, band) == want, (len(x), len(y), band)
+            assert banded_edit_distance(y, x, band) == want, (len(y), len(x), band)
+
+
+def test_banded_reads_everything_on_every_path():
+    # a distance, a None from the band, and a None from the length check
+    for x, y, band, want in ((b"abcd" * 50, b"abed" * 50, 60, 50),
+                             (b"abcd" * 50, b"abed" * 50, 49, None),
+                             (b"ab" * 40, b"ab" * 30, 5, None)):
+        qx, qy = QueriedString(x), QueriedString(y)
+        assert banded_edit_distance(qx, qy, band) == want
+        assert qx.distinct == len(x) and qy.distinct == len(y)
+        assert qx.total == len(x) and qy.total == len(y)
 
 
 def test_grid_cost_is_prefix_distance():
