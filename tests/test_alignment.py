@@ -131,6 +131,28 @@ def test_conversion_accepts_full_and_short_op_names():
         segments_from_alignment([("swap", 0, 0)], 1)
 
 
+ORACLE_PINS = (
+    (b"abcdef", b"abXdefg",
+     ((0, 6, 0), (6, 6, 1)),
+     ((2, 0, SUBSTITUTION), (6, 1, DIAG_UP))),
+    (b"aXYab", b"aab",
+     ((0, 1, 0), (2, 2, -1), (3, 5, -2)),
+     ((1, -1, DIAG_DOWN), (2, -2, DIAG_DOWN))),
+    (b"", b"ab",
+     ((0, 0, 0), (0, 0, 1), (0, 0, 2)),
+     ((0, 1, DIAG_UP), (0, 2, DIAG_UP))),
+    (b"ab", b"",
+     ((0, 0, 0), (1, 1, -1), (2, 2, -2)),
+     ((0, -1, DIAG_DOWN), (1, -2, DIAG_DOWN))),
+)
+
+
+@pytest.mark.parametrize("x, y, segments, events", ORACLE_PINS)
+def test_oracle_alignment_pins(x, y, segments, events):
+    succ = segments_from_alignment(optimal_alignment(x, y).ops, len(x))
+    assert succ == SuccinctAlignment(segments=segments, events=events)
+
+
 def test_conversion_structure_for_a_known_case():
     # x -> y with one substitution and one insertion
     x, y = b"abcdef", b"abXdefg"
