@@ -1,12 +1,14 @@
-"""Succinct alignment certificates.
+"""Succinct alignment certificates, the package's one alignment format.
 
 A close verdict carries a compressed description of an alignment the run
-believes in: a chain of row intervals, each pinned to one diagonal, plus
-the charged edit events observed along the way.  Consecutive segments
-share exactly their boundary row, and the diagonal moves between segments
-are recorded as explicit diag+1 / diag-1 events, so the whole object
-decodes back into a concrete path through the grid whose cost can be
-priced against the full strings.
+believes in, and the exact oracle's ``optimal_alignment`` returns one too:
+a chain of row intervals, each pinned to one diagonal, plus the charged
+edit events observed along the way.  Consecutive segments share their
+boundary row, except that a move down a diagonal may skip the row its
+deletion consumes.  The diagonal moves between segments are recorded as
+explicit diag+1 / diag-1 events, so the whole object decodes back into a
+concrete path through the grid whose cost can be priced against the full
+strings.
 
 Encoding is varint-based (LEB128 with zigzag for diagonals), so the size
 is O((#segments + #events) * log n) bits.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qstring import ascii_bytes
+from .qstring import QueriedString, ascii_bytes
 
 SUBSTITUTION = "substitution"
 DIAG_UP = "diag+1"
@@ -58,7 +60,7 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def _zigzag(v: int) -> int:
-    return (v << 1) ^ (v >> 63) if v >= 0 else ((-v) << 1) - 1
+    return 2 * v if v >= 0 else -2 * v - 1
 
 
 def _unzigzag(v: int) -> int:
@@ -120,14 +122,14 @@ class SuccinctAlignment:
 
 
 def _as_bytes(s) -> bytes:
-    if isinstance(s, bytes):
-        return s
+    """Full, unmetered access to a string given as any accepted input type."""
+    if isinstance(s, QueriedString):
+        return s.data
     if isinstance(s, str):
         return ascii_bytes(s)
-    data = getattr(s, "data", None)
-    if isinstance(data, bytes):
-        return data
-    raise TypeError("need full string access (bytes, str, or a backing buffer)")
+    if isinstance(s, (bytes, bytearray, memoryview)):
+        return bytes(s)
+    raise TypeError(f"need a byte string, str or QueriedString, got {type(s).__name__}")
 
 
 def validate_alignment(alignment: SuccinctAlignment, x, y) -> int:
@@ -161,40 +163,3 @@ def validate_alignment(alignment: SuccinctAlignment, x, y) -> int:
         prev_hi, prev_d = hi, d
     return cost
 
-
-def segments_from_alignment(ops, n: int) -> SuccinctAlignment:
-    """Convert an explicit op list into the segment representation.
-
-    ops is a sequence of (kind, i, j) with kind in {match, substitute,
-    delete, insert} (abbreviations sub/del/ins accepted) walking (0,0) to
-    (|x|,|y|); the result prices to the same cost under
-    validate_alignment.  Bridges the exact-oracle alignment format to the
-    succinct one for round-trip checks.
-    """
-    aliases = {"sub": "substitute", "del": "delete", "ins": "insert"}
-    segments: list[tuple[int, int, int]] = []
-    events: list[tuple[int, int, str]] = []
-    seg_lo = 0
-    cur_d = 0
-    for kind, i, j in ops:
-        kind = aliases.get(kind, kind)
-        if kind in ("match", "substitute"):
-            if kind == "substitute":
-                events.append((i, cur_d, SUBSTITUTION))
-            continue
-        if kind == "delete":
-            # Row i is consumed by the deletion itself and priced by the
-            # transition, so the next segment starts past it.
-            segments.append((seg_lo, i, cur_d))
-            cur_d -= 1
-            events.append((i, cur_d, DIAG_DOWN))
-            seg_lo = i + 1
-        elif kind == "insert":
-            segments.append((seg_lo, i, cur_d))
-            cur_d += 1
-            events.append((i, cur_d, DIAG_UP))
-            seg_lo = i
-        else:
-            raise ValueError(f"unknown op kind {kind!r}")
-    segments.append((seg_lo, n, cur_d))
-    return SuccinctAlignment(segments=tuple(segments), events=tuple(events))

@@ -45,7 +45,7 @@ from .tester import TesterConfig
 from .tester import run as run_main_tester
 from .verdict import Answer
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # gen's meta.json layout is versioned apart from the run report's.
 META_SCHEMA_VERSION = 2
 
@@ -72,7 +72,6 @@ class RunReport:
     t: int
     epsilon: float
     c_s: float
-    far_factor: float
     verdict: str
     final_a0: int
     distinct_x: int
@@ -156,7 +155,6 @@ def cmd_run(args) -> int:
         t=args.t,
         epsilon=args.eps,
         c_s=args.cs,
-        far_factor=args.far_factor,
         verdict=answer.value,
         final_a0=final_a0,
         distinct_x=ledger.distinct_x,
@@ -335,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--eps", type=float, default=0.0,
                    help="sampling exponent; far threshold becomes 13 t^(2-eps)")
     r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--far-factor", type=float, default=13.0)
     r.add_argument("--cs", type=float, default=3.0,
                    help="sampling-rate constant")
     r.add_argument("--fasta", action="store_true",
@@ -397,8 +394,6 @@ def main(argv=None) -> int:
         if args.t < 1:
             parser.error("t must be a positive integer")
         _check_sampling_flags(args, parser)
-        if args.far_factor <= 0:
-            parser.error("--far-factor must be positive")
         return cmd_run(args)
     if args.command == "gen":
         if args.n < 1:

@@ -2,7 +2,8 @@
 
 Reference implementations with unrestricted queries: the full dynamic
 program, the diagonal-transition banded oracle, grid-cell costs in (row,
-diagonal) coordinates, an optimal alignment with a fixed tie-break, and the
+diagonal) coordinates, an optimal alignment with a fixed tie-break (as a
+``SuccinctAlignment``, the format the testers certify in), and the
 brute-force potent-diagonal sets that the selective scan is checked against.
 
 Coordinates are 0-based throughout.  Cell ``(i, d)`` holds the edit distance
@@ -16,10 +17,9 @@ advancing the row (deleting ``x[i]``, cost 1), and moving to diagonal
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .alignment import DIAG_DOWN, DIAG_UP, SUBSTITUTION, SuccinctAlignment
 from .qstring import QueriedString, ascii_bytes, bytes_match
 
 INF = 1 << 28
@@ -155,72 +155,43 @@ def full_cost_table(x, y) -> np.ndarray:
 # Optimal alignment with a fixed tie-break.
 
 
-@dataclass
-class Alignment:
-    """A sequence of edit operations taking x to y.
+def optimal_alignment(x, y) -> SuccinctAlignment:
+    """An optimal alignment as a certificate; ties prefer match/substitute,
+    then delete, then insert.
 
-    Each op is (kind, i, j): "match"/"sub" consume x[i] and y[j], "del"
-    consumes x[i] (j is the y-length consumed so far), "ins" consumes y[j].
+    The traceback walks back from (|x|, |y|) and opens each segment at its
+    last row.  Deleting x[i - 1] steps down from diagonal d + 1 to d and
+    skips row i - 1, so the segment on d starts at row i; inserting
+    y[j - 1] steps up from d - 1 to d within row i.
     """
-
-    ops: list[tuple[str, int, int]] = field(default_factory=list)
-
-    @property
-    def cost(self) -> int:
-        return sum(1 for op in self.ops if op[0] != "match")
-
-    def validate(self, x, y) -> int:
-        """Replay against the pair; returns the cost, raises on any defect."""
-        bx, by = _raw(x), _raw(y)
-        i = j = 0
-        for kind, oi, oj in self.ops:
-            if kind in ("match", "sub"):
-                if oi != i or oj != j:
-                    raise ValueError(f"op {kind} at ({oi},{oj}), cursor ({i},{j})")
-                same = bx[i] == by[j]
-                if kind == "match" and not same:
-                    raise ValueError(f"match at ({i},{j}) on unequal bytes")
-                if kind == "sub" and same:
-                    raise ValueError(f"sub at ({i},{j}) on equal bytes")
-                i += 1
-                j += 1
-            elif kind == "del":
-                if oi != i:
-                    raise ValueError(f"del at {oi}, cursor {i}")
-                i += 1
-            elif kind == "ins":
-                if oj != j:
-                    raise ValueError(f"ins at {oj}, cursor {j}")
-                j += 1
-            else:
-                raise ValueError(f"unknown op kind {kind!r}")
-        if i != len(bx) or j != len(by):
-            raise ValueError(f"alignment consumed ({i},{j}) of ({len(bx)},{len(by)})")
-        return self.cost
-
-
-def optimal_alignment(x, y) -> Alignment:
-    """An optimal alignment; ties prefer match/substitute, then delete."""
     bx, by = _raw(x), _raw(y)
     m = full_cost_table(bx, by)
-    ops: list[tuple[str, int, int]] = []
+    segments: list[tuple[int, int, int]] = []
+    events: list[tuple[int, int, str]] = []
     i, j = len(bx), len(by)
+    hi = i  # last row of the open segment
     while i > 0 or j > 0:
+        d = j - i
         if i > 0 and j > 0:
             same = bx[i - 1] == by[j - 1]
             if m[i][j] == m[i - 1][j - 1] + (0 if same else 1):
-                ops.append(("match" if same else "sub", i - 1, j - 1))
+                if not same:
+                    events.append((i - 1, d, SUBSTITUTION))
                 i -= 1
                 j -= 1
                 continue
+        segments.append((i, hi, d))
         if i > 0 and m[i][j] == m[i - 1][j] + 1:
-            ops.append(("del", i - 1, j))
+            events.append((i - 1, d, DIAG_DOWN))
             i -= 1
-            continue
-        ops.append(("ins", i, j - 1))
-        j -= 1
-    ops.reverse()
-    return Alignment(ops)
+        else:
+            events.append((i, d, DIAG_UP))
+            j -= 1
+        hi = i
+    segments.append((0, hi, 0))
+    segments.reverse()
+    events.reverse()
+    return SuccinctAlignment(segments=tuple(segments), events=tuple(events))
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,6 @@ class QueriedString:
             return self.data[i]
         return None
 
-    def peek(self, i: int) -> int | None:
-        """Unmetered read; reserved for oracles and certificate validation."""
-        if 0 <= i < len(self.data):
-            return self.data[i]
-        return None
-
     def read_all(self) -> bytes:
         """Mark every position read and return the data.
 
@@ -86,11 +80,6 @@ class QueriedString:
 
     def positions_read(self) -> list[int]:
         return [i for i, s in enumerate(self._seen) if s]
-
-    def reset_ledger(self) -> None:
-        self._seen = bytearray(len(self.data))
-        self.distinct = 0
-        self.total = 0
 
 
 def ascii_bytes(s: str) -> bytes:

@@ -84,7 +84,6 @@ class RunStats:
     length_shortcircuit: bool = False
     segments: list[tuple[int, int, int]] = field(default_factory=list)
     events: list[tuple[int, int, str]] = field(default_factory=list)
-    answer: Answer | None = None
 
 
 @dataclass
@@ -267,7 +266,7 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
             stacklevel=2,
         )
     if abs(len(x) - len(y)) > t:
-        stats = RunStats(length_shortcircuit=True, answer=Answer.FAR)
+        stats = RunStats(length_shortcircuit=True)
         return Verdict(Answer.FAR, t + 1, ledger_snapshot(x, y), 0, None, stats)
     state = initial_state(x, y, cfg)
     stats = state.stats
@@ -280,7 +279,6 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
         if state.costs.cost(0) > t or not state.diagonals:
             answer = Answer.FAR
             break
-    stats.answer = answer
     alignment = None
     if answer is Answer.CLOSE:
         if state.rep_d != 0:

@@ -1,9 +1,9 @@
-"""Succinct alignment certificates: encoding, validation, conversion."""
+"""Succinct alignment certificates: encoding, validation, oracle alignments."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mutate, random_bytes, ref_edit_distance
@@ -13,10 +13,10 @@ from gaped.alignment import (
     SUBSTITUTION,
     MalformedAlignment,
     SuccinctAlignment,
-    segments_from_alignment,
     validate_alignment,
 )
 from gaped.oracle import optimal_alignment
+from gaped.qstring import QueriedString
 
 KINDS = (SUBSTITUTION, DIAG_UP, DIAG_DOWN)
 
@@ -41,6 +41,9 @@ events_st = st.lists(
 
 
 @given(segments=segments_st, events=events_st)
+@example(segments=[(0, 1, 1 << 63)], events=[(0, 1 << 63, SUBSTITUTION)])
+@example(segments=[(0, 1, -(1 << 63) - 1)], events=[(0, -(1 << 63) - 1, DIAG_DOWN)])
+@example(segments=[(0, 1, (1 << 64) + 3)], events=[(0, (1 << 64) + 3, DIAG_UP)])
 def test_encode_decode_round_trip(segments, events):
     a = SuccinctAlignment(segments=tuple(segments), events=tuple(events))
     data = a.encode()
@@ -87,6 +90,18 @@ def test_validate_counts_out_of_range_rows_as_mismatches():
     assert validate_alignment(a, b"abcd", b"ab") == 2
 
 
+def test_validate_accepts_every_byte_string_type():
+    a = SuccinctAlignment(segments=((0, 2, 0),), events=())
+    for x in (b"ab", bytearray(b"ab"), memoryview(b"ab"), "ab", QueriedString(b"ab")):
+        assert validate_alignment(a, x, bytearray(b"aX")) == 1
+    q = QueriedString(b"ab")
+    validate_alignment(a, q, memoryview(b"ab"))
+    assert q.distinct == q.total == 0  # certificate checks are unmetered
+    for bad in (5, None, [97, 98]):
+        with pytest.raises(TypeError):
+            validate_alignment(a, bad, b"ab")
+
+
 def test_validate_rejects_broken_chains():
     with pytest.raises(MalformedAlignment):
         validate_alignment(SuccinctAlignment(segments=(), events=()), b"a", b"a")
@@ -116,19 +131,13 @@ def test_oracle_alignments_convert_and_price_exactly(data):
     n = rng.randrange(0, 50)
     x = random_bytes(rng, n)
     y = mutate(rng, x, rng.randrange(0, 10))
-    ops = optimal_alignment(x, y).ops
-    succ = segments_from_alignment(ops, len(x))
+    succ = optimal_alignment(x, y)
+    # the chain covers both strings: it starts at (0, 0) and ends at (|x|, |y|)
+    assert succ.segments[0][0] == succ.segments[0][2] == 0
+    assert succ.segments[-1][1:] == (len(x), len(y) - len(x))
     assert validate_alignment(succ, x, y) == ref_edit_distance(x, y)
     # encoding survives the trip
     assert SuccinctAlignment.decode(succ.encode()) == succ
-
-
-def test_conversion_accepts_full_and_short_op_names():
-    short = [("match", 0, 0), ("sub", 1, 1), ("ins", 2, 2), ("del", 2, 3)]
-    long = [("match", 0, 0), ("substitute", 1, 1), ("insert", 2, 2), ("delete", 2, 3)]
-    assert segments_from_alignment(short, 3) == segments_from_alignment(long, 3)
-    with pytest.raises(ValueError):
-        segments_from_alignment([("swap", 0, 0)], 1)
 
 
 ORACLE_PINS = (
@@ -149,14 +158,13 @@ ORACLE_PINS = (
 
 @pytest.mark.parametrize("x, y, segments, events", ORACLE_PINS)
 def test_oracle_alignment_pins(x, y, segments, events):
-    succ = segments_from_alignment(optimal_alignment(x, y).ops, len(x))
-    assert succ == SuccinctAlignment(segments=segments, events=events)
+    assert optimal_alignment(x, y) == SuccinctAlignment(segments=segments, events=events)
 
 
 def test_conversion_structure_for_a_known_case():
     # x -> y with one substitution and one insertion
     x, y = b"abcdef", b"abXdefg"
-    succ = segments_from_alignment(optimal_alignment(x, y).ops, len(x))
+    succ = optimal_alignment(x, y)
     assert succ.segments[0][0] == 0
     assert succ.segments[-1][1] == len(x)
     assert sum(1 for e in succ.events if e[2] == SUBSTITUTION) == 1

@@ -43,7 +43,7 @@ def test_run_oracle_reports_close(pair):
     code, out = run_cli(["run", "--algo", "oracle", "--x", xp, "--y", yp, "-t", "8"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["schema_version"] == 2
+    assert rep["schema_version"] == 3
     assert rep["verdict"] == "close"
     assert rep["final_a0"] == 2
     assert rep["algorithm"] == "oracle"
@@ -154,8 +154,6 @@ def test_run_flag_validation_exits_2(pair):
         ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "0"],
         ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "4", "--eps", "1.0"],
         ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "4", "--cs", "0"],
-        ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "4",
-         "--far-factor", "0"],
         ["run", "--algo", "mystery", "--x", xp, "--y", yp, "-t", "4"],
         ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "4",
          "--json", "--csv"],

@@ -1,7 +1,5 @@
 """Query-ledger accounting on instrumented strings."""
 
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,26 +35,11 @@ def test_distinct_counts_positions_once_total_counts_repeats():
     assert s.positions_read() == [1, 2]
 
 
-def test_peek_is_unmetered():
-    s = QueriedString(b"abc")
-    assert s.peek(1) == ord("b")
-    assert s.peek(7) is None
-    assert s.total == 0
-
-
 def test_read_all_marks_everything():
     s = QueriedString(b"abcd")
     assert s.read_all() == b"abcd"
     assert s.distinct == 4
     assert s.positions_read() == [0, 1, 2, 3]
-
-
-def test_reset_ledger_clears_counts_not_data():
-    s = QueriedString(b"ab")
-    s.read(0)
-    s.reset_ledger()
-    assert (s.distinct, s.total) == (0, 0)
-    assert s.read(0) == ord("a")
 
 
 def test_str_input_is_ascii_encoded():
@@ -117,18 +100,3 @@ def test_ledger_matches_direct_count(data, indices):
     assert s.distinct == len(set(in_range))
     assert s.positions_read() == sorted(set(in_range))
 
-
-def test_random_interleaving_of_reads_and_peeks():
-    rng = random.Random(11)
-    data = bytes(rng.randrange(256) for _ in range(64))
-    s = QueriedString(data)
-    reads = set()
-    for _ in range(500):
-        i = rng.randrange(-8, 72)
-        if rng.random() < 0.5:
-            s.peek(i)
-        else:
-            s.read(i)
-            if 0 <= i < 64:
-                reads.add(i)
-    assert s.distinct == len(reads)
