@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qstring import QueriedString, ascii_bytes
+from .qstring import as_queried
 
 SUBSTITUTION = "substitution"
 DIAG_UP = "diag+1"
@@ -121,17 +121,6 @@ class SuccinctAlignment:
         return 8 * len(self.encode())
 
 
-def _as_bytes(s) -> bytes:
-    """Full, unmetered access to a string given as any accepted input type."""
-    if isinstance(s, QueriedString):
-        return s.data
-    if isinstance(s, str):
-        return ascii_bytes(s)
-    if isinstance(s, (bytes, bytearray, memoryview)):
-        return bytes(s)
-    raise TypeError(f"need a byte string, str or QueriedString, got {type(s).__name__}")
-
-
 def validate_alignment(alignment: SuccinctAlignment, x, y) -> int:
     """Price the alignment's induced grid path against the full strings.
 
@@ -141,7 +130,7 @@ def validate_alignment(alignment: SuccinctAlignment, x, y) -> int:
     when the segment chain is broken.  Reads everything; verification
     only, never called by the testers.
     """
-    xb, yb = _as_bytes(x), _as_bytes(y)
+    xb, yb = as_queried(x).data, as_queried(y).data  # unmetered
     segs = alignment.segments
     if not segs:
         raise MalformedAlignment("empty segment chain")

@@ -117,7 +117,7 @@ def _load_input(path: str, fasta: bool) -> bytes:
     return data
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, parser: argparse.ArgumentParser) -> int:
     try:
         xb = _load_input(args.x, args.fasta)
         yb = _load_input(args.y, args.fasta)
@@ -136,14 +136,17 @@ def cmd_run(args) -> int:
         res = selective_scan(x, y, args.t)
         answer = Answer.CLOSE if res is not None else Answer.FAR
         final_a0 = res if res is not None else args.t + 1
-    elif args.algo == "sampled":
-        import random
-
-        v = run_sampled_tester(x, y, args.t, args.cs, random.Random(seed))
-        answer, final_a0 = v.answer, v.final_a0
     else:
-        cfg = TesterConfig(t=args.t, epsilon=args.eps, c_s=args.cs, seed=seed)
-        v = run_main_tester(x, y, cfg)
+        try:
+            if args.algo == "sampled":
+                import random
+
+                v = run_sampled_tester(x, y, args.t, args.cs, random.Random(seed))
+            else:
+                cfg = TesterConfig(t=args.t, epsilon=args.eps, c_s=args.cs, seed=seed)
+                v = run_main_tester(x, y, cfg)
+        except ValueError as exc:
+            parser.error(str(exc))
         answer, final_a0 = v.answer, v.final_a0
         transitions = v.mode_transitions
     wall = 0 if args.stable_output else time.perf_counter_ns() - started
@@ -394,7 +397,7 @@ def main(argv=None) -> int:
         if args.t < 1:
             parser.error("t must be a positive integer")
         _check_sampling_flags(args, parser)
-        return cmd_run(args)
+        return cmd_run(args, parser)
     if args.command == "gen":
         if args.n < 1:
             parser.error("n must be a positive integer")

@@ -36,7 +36,6 @@ from .oracle import banded_edit_distance, edit_distance
 log = logging.getLogger(__name__)
 
 ORACLE_CEILING = 4096
-FAMILIES = ("random_edits", "block_shift", "periodic_splice", "independent_random")
 _LETTERS = b"abcdefghijklmnopqrstuvwxyz"
 
 
@@ -178,7 +177,7 @@ _GENERATORS = {
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Serializable recipe for one instance: same spec, same bytes."""
+    """Recipe for one instance: same spec, same bytes."""
 
     family: str
     n: int
@@ -186,21 +185,8 @@ class InstanceSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _GENERATORS:
             raise ValueError(f"unknown family {self.family!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"family": self.family, "n": self.n, "seed": self.seed,
-             "params": self.params},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "InstanceSpec":
-        obj = json.loads(text)
-        return cls(family=obj["family"], n=obj["n"], seed=obj["seed"],
-                   params=dict(obj.get("params", {})))
 
 
 def instantiate(spec: InstanceSpec) -> tuple[bytes, bytes]:
@@ -208,9 +194,9 @@ def instantiate(spec: InstanceSpec) -> tuple[bytes, bytes]:
     return fn(spec.n, seed=spec.seed, **spec.params)
 
 
-def certified_delta(x: bytes, y: bytes, *, ceiling: int = ORACLE_CEILING) -> int | None:
+def certified_delta(x: bytes, y: bytes) -> int | None:
     """Exact distance when the full DP is affordable, else None."""
-    if max(len(x), len(y)) <= ceiling:
+    if max(len(x), len(y)) <= ORACLE_CEILING:
         return edit_distance(x, y)
     return None
 

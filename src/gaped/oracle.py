@@ -1,10 +1,12 @@
 """Exact edit-distance oracles over the diagonal grid.
 
 Reference implementations with unrestricted queries: the full dynamic
-program, the diagonal-transition banded oracle, grid-cell costs in (row,
-diagonal) coordinates, an optimal alignment with a fixed tie-break (as a
-``SuccinctAlignment``, the format the testers certify in), and the
-brute-force potent-diagonal sets that the selective scan is checked against.
+program, the diagonal-transition banded oracle, full and banded cost
+tables in (row, diagonal) coordinates, an optimal alignment with a fixed
+tie-break (as a ``SuccinctAlignment``, the format the testers certify in),
+and the brute-force potent-diagonal sets that the selective scan is checked
+against.  Each reads both strings in full through ``as_queried``, so a
+``QueriedString`` input's ledger shows every position read.
 
 Coordinates are 0-based throughout.  Cell ``(i, d)`` holds the edit distance
 between the first ``i`` bytes of ``x`` and the first ``i + d`` bytes of
@@ -20,19 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import DIAG_DOWN, DIAG_UP, SUBSTITUTION, SuccinctAlignment
-from .qstring import QueriedString, ascii_bytes, bytes_match
+from .qstring import as_queried, bytes_match
 
 INF = 1 << 28
 _UNREACHED = -(1 << 40)  # far[] of a diagonal no path has reached
 _GATHER = 4096  # elements per read-ahead gather of the banded slide
-
-
-def _raw(s: QueriedString | bytes | bytearray | str) -> bytes:
-    if isinstance(s, QueriedString):
-        return s.read_all()
-    if isinstance(s, str):
-        return ascii_bytes(s)
-    return bytes(s)
 
 
 def _as_u8(b: bytes) -> np.ndarray:
@@ -60,7 +54,7 @@ def _dp_rows(bx: bytes, by: bytes):
 
 def edit_distance(x, y) -> int:
     """Exact edit distance by the full DP, keeping one row at a time."""
-    bx, by = _raw(x), _raw(y)
+    bx, by = as_queried(x).read_all(), as_queried(y).read_all()
     if not bx or not by:
         return len(bx) + len(by)
     for row in _dp_rows(bx, by):
@@ -83,7 +77,7 @@ def banded_edit_distance(x, y, band: int) -> int | None:
     A None therefore proves the distance exceeds band.  Both strings are
     read in full first, so the ledger is the same on every path.
     """
-    bx, by = _raw(x), _raw(y)
+    bx, by = as_queried(x).read_all(), as_queried(y).read_all()
     nx, ny = len(bx), len(by)
     d_end = ny - nx
     if abs(d_end) > band:
@@ -136,19 +130,9 @@ def _slide(rows: np.ndarray, ds: np.ndarray, xp: np.ndarray, yp: np.ndarray) -> 
         span *= 2
 
 
-def grid_cost(x, y, i: int, d: int) -> int:
-    """Cost of grid cell (i, d): edit distance of x[:i] and y[:i+d]."""
-    bx, by = _raw(x), _raw(y)
-    if not (0 <= i <= len(bx)):
-        raise ValueError(f"row {i} outside [0, {len(bx)}]")
-    if not (0 <= i + d <= len(by)):
-        raise ValueError(f"diagonal {d} at row {i} leaves y's range")
-    return edit_distance(bx[:i], by[: i + d])
-
-
 def full_cost_table(x, y) -> np.ndarray:
     """The whole (|x|+1) x (|y|+1) DP matrix.  Test-only: desk-scale sizes."""
-    return np.stack(list(_dp_rows(_raw(x), _raw(y))))
+    return np.stack(list(_dp_rows(as_queried(x).read_all(), as_queried(y).read_all())))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +148,7 @@ def optimal_alignment(x, y) -> SuccinctAlignment:
     skips row i - 1, so the segment on d starts at row i; inserting
     y[j - 1] steps up from d - 1 to d within row i.
     """
-    bx, by = _raw(x), _raw(y)
+    bx, by = as_queried(x).read_all(), as_queried(y).read_all()
     m = full_cost_table(bx, by)
     segments: list[tuple[int, int, int]] = []
     events: list[tuple[int, int, str]] = []
@@ -206,7 +190,7 @@ def banded_cost_table(x, y, t: int) -> list[list[int]]:
     mismatch (out-of-range rule); they can never reach the sink, since i + d
     never decreases along an edge.  Missing neighbors are skipped.
     """
-    bx, by = _raw(x), _raw(y)
+    bx, by = as_queried(x).read_all(), as_queried(y).read_all()
     nx, ny = len(bx), len(by)
     width = 2 * t + 1
 
@@ -251,7 +235,7 @@ def banded_potent_table(x, y, t: int) -> list[set[int]]:
     must be potent at row i - 1 and have a mismatch at row i (bytes x[i-1],
     y[i+d]).  An undominated cell is potent outright.
     """
-    bx, by = _raw(x), _raw(y)
+    bx, by = as_queried(x).read_all(), as_queried(y).read_all()
     nx, ny = len(bx), len(by)
     costs = banded_cost_table(bx, by, t)
     width = 2 * t + 1
@@ -283,8 +267,3 @@ def banded_potent_table(x, y, t: int) -> list[set[int]]:
         table.append(potent)
         prev_potent = potent
     return table
-
-
-def brute_force_potent_set(x, y, t: int, i: int) -> set[int]:
-    """Potent diagonals at row i.  Sweeps should use banded_potent_table."""
-    return banded_potent_table(x, y, t)[i]

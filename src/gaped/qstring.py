@@ -6,6 +6,11 @@ an observable fact rather than an estimate.  A read inside the string's
 bounds returns the byte value and is recorded; a read outside the bounds
 returns ``None`` and leaves the ledger untouched.
 
+Input rule, the package's only one: a string is ``bytes``, ``bytearray``,
+``memoryview`` or ASCII ``str`` (a non-ASCII ``str`` is a ``ValueError``).
+Anything else, ``int`` and ``None`` included, is a ``TypeError``.  Other
+modules get their bytes through :func:`as_queried`.
+
 Out-of-range semantics: a position outside the string compares unequal to
 every in-range byte and unequal to other out-of-range positions.  Comparison
 sites must therefore go through :func:`bytes_match` instead of ``==`` (two
@@ -46,9 +51,16 @@ class QueriedString:
 
     __slots__ = ("data", "_seen", "distinct", "total")
 
-    def __init__(self, data: bytes | bytearray | str):
+    def __init__(self, data: bytes | bytearray | memoryview | str):
         if isinstance(data, str):
-            data = ascii_bytes(data)
+            try:
+                data = data.encode("ascii")
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"str input must be ASCII; found {data[exc.start]!r} "
+                                 f"at position {exc.start}") from None
+        elif not isinstance(data, (bytes, bytearray, memoryview)):
+            raise TypeError("a string must be bytes, bytearray, memoryview or str, "
+                            f"got {type(data).__name__}")
         self.data = bytes(data)
         self._seen = bytearray(len(self.data))
         self.distinct = 0
@@ -82,16 +94,6 @@ class QueriedString:
         return [i for i, s in enumerate(self._seen) if s]
 
 
-def ascii_bytes(s: str) -> bytes:
-    """str input as bytes; a ValueError names the first non-ASCII character."""
-    try:
-        return s.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise ValueError(
-            f"str input must be ASCII; found {s[exc.start]!r} at position {exc.start}"
-        ) from None
-
-
 def bytes_match(a: int | None, b: int | None) -> bool:
     """True iff both reads are in range and equal.
 
@@ -101,8 +103,8 @@ def bytes_match(a: int | None, b: int | None) -> bool:
     return a is not None and b is not None and a == b
 
 
-def as_queried(s: QueriedString | bytes | bytearray | str) -> QueriedString:
-    """Wrap raw bytes for callers that do not care about the ledger."""
+def as_queried(s: QueriedString | bytes | bytearray | memoryview | str) -> QueriedString:
+    """s itself if already queried, else a QueriedString with a fresh ledger."""
     return s if isinstance(s, QueriedString) else QueriedString(s)
 
 

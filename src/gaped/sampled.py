@@ -26,12 +26,13 @@ def geometric_gap(rate: float, rng) -> int:
     """Distance to the next kept row when each row is kept w.p. rate.
 
     Returns k with probability rate * (1-rate)^(k-1), k >= 1; rate >= 1
-    returns 1 without consuming randomness.
+    returns 1 without consuming randomness, and a rate too small to move
+    1 - rate off 1.0 (rate <= 0 included) is a ValueError.
     """
     if rate >= 1.0:
         return 1
-    if rate <= 0.0:
-        raise ValueError("sampling rate must be positive")
+    if 1.0 - rate >= 1.0:  # rate <= 0, or so small that log(1 - rate) is 0
+        raise ValueError(f"sampling rate {rate!r} must be positive with 1 - rate < 1")
     u = rng.random()
     return 1 + int(math.log(1.0 - u) / math.log(1.0 - rate))
 

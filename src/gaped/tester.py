@@ -79,7 +79,6 @@ class RunStats:
     to_sampling: int = 0
     contiguous_rows: int = 0
     sampled_rows: int = 0
-    binary_searches: int = 0
     search_rows: list[int] = field(default_factory=list)
     length_shortcircuit: bool = False
     segments: list[tuple[int, int, int]] = field(default_factory=list)
@@ -196,7 +195,6 @@ def sampling_round(state: ModeState, x, y, cfg: TesterConfig) -> None:
     if period is None:
         charged = {diags[0]}
     else:
-        stats.binary_searches += 1
         stats.search_rows.append(rs)
         j = find_period_transition(x, y, period, rs)
         charged = mismatched_diagonals(x, y, j + 1, diags)

@@ -148,12 +148,14 @@ def test_run_fasta_strips_headers(tmp_path):
     assert rep["distinct_x"] == 200
 
 
-def test_run_flag_validation_exits_2(pair):
+def test_run_flag_validation_exits_2(pair, capsys):
     xp, yp = pair
     bad = (
         ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "0"],
         ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "4", "--eps", "1.0"],
         ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "4", "--cs", "0"],
+        ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "4", "--cs", "1e-20"],
+        ["run", "--algo", "sampled", "--x", xp, "--y", yp, "-t", "4", "--cs", "1e-20"],
         ["run", "--algo", "mystery", "--x", xp, "--y", yp, "-t", "4"],
         ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "4",
          "--json", "--csv"],
@@ -162,6 +164,9 @@ def test_run_flag_validation_exits_2(pair):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, argv
+        assert "usage: gaped run" in err, argv
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +259,7 @@ def test_bench_flag_validation_exits_2(capsys):
         ["bench", "--family", "random-edits", "--n-grid", "1", "--t-grid", "8"],
         ["bench", "--n-grid", "256", "--t-grid", "0"],
         ["bench", "--n-grid", "256", "--t-grid", "4", "--cs", "0"],
+        ["bench", "--n-grid", "256", "--t-grid", "4", "--cs", "1e-20"],
         ["bench", "--n-grid", "256", "--t-grid", "4", "--eps", "1.5"],
     )
     for argv in bad:

@@ -176,13 +176,12 @@ def test_gen_certified_far_gives_up_when_impossible():
 
 
 # ---------------------------------------------------------------------------
-# spec serialization and disk round trip
+# specs and the disk round trip
 
 
-def test_instance_spec_json_round_trip():
+def test_instance_spec_same_spec_same_bytes():
     spec = InstanceSpec("periodic_splice", 2048, 5, {"g": 2, "num_transitions": 3})
-    again = InstanceSpec.from_json(spec.to_json())
-    assert again == spec
+    again = InstanceSpec("periodic_splice", 2048, 5, {"g": 2, "num_transitions": 3})
     x1, y1 = instantiate(spec)
     x2, y2 = instantiate(again)
     assert x1 == x2 and y1 == y2

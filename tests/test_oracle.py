@@ -14,10 +14,8 @@ from gaped.oracle import (
     banded_cost_table,
     banded_edit_distance,
     banded_potent_table,
-    brute_force_potent_set,
     edit_distance,
     full_cost_table,
-    grid_cost,
     optimal_alignment,
 )
 from gaped.qstring import QueriedString
@@ -123,20 +121,6 @@ def test_banded_reads_everything_on_every_path():
         assert qx.total == len(x) and qy.total == len(y)
 
 
-def test_grid_cost_is_prefix_distance():
-    rng = random.Random(3)
-    x = random_bytes(rng, 30)
-    y = mutate(rng, x, 4)
-    for i in (0, 7, 19, 30):
-        for d in (-3, 0, 2):
-            if 0 <= i + d <= len(y):
-                assert grid_cost(x, y, i, d) == ref_edit_distance(x[:i], y[: i + d])
-    with pytest.raises(ValueError):
-        grid_cost(x, y, len(x) + 1, 0)
-    with pytest.raises(ValueError):
-        grid_cost(x, y, 0, -1)
-
-
 @given(x=short, y=short)
 @settings(max_examples=40)
 def test_full_cost_table_cells(x, y):
@@ -197,15 +181,6 @@ def test_potent_row0_cascade_is_mismatch_driven():
     assert banded_potent_table(b"ab", b"ab", 2)[0] == {0}
     # all-mismatch heads cascade across the whole row
     assert banded_potent_table(b"aa", b"bb", 2)[0] == {0, 1, 2}
-
-
-def test_brute_force_potent_set_is_table_row():
-    rng = random.Random(9)
-    x = random_bytes(rng, 25)
-    y = mutate(rng, x, 3)
-    table = banded_potent_table(x, y, 4)
-    for i in (0, 5, 25):
-        assert brute_force_potent_set(x, y, 4, i) == table[i]
 
 
 def test_nonpotent_cells_freeze_and_potent_mismatches_pay():

@@ -1,12 +1,21 @@
-"""Query-ledger accounting on instrumented strings."""
+"""Query-ledger accounting on instrumented strings, and the one input rule."""
+
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gaped.alignment import SuccinctAlignment, validate_alignment
-from gaped.oracle import edit_distance
+from gaped.generators import certify_far
+from gaped.oracle import (
+    banded_edit_distance,
+    edit_distance,
+    full_cost_table,
+    optimal_alignment,
+)
 from gaped.qstring import QueriedString, as_queried, bytes_match, ledger_snapshot
+from gaped.sampled import run_sampled_tester
 from gaped.scan import selective_scan
 from gaped.tester import TesterConfig, run
 
@@ -58,6 +67,45 @@ def test_non_ascii_str_input_is_a_value_error_naming_the_position():
         message = f"must be ASCII; found 'é' at position {pos}$"
         with pytest.raises(ValueError, match=message):
             call()
+
+
+X, Y = b"the quick brown fox jumps", b"the quick brwn fox jumped"
+_DIAGONAL = SuccinctAlignment(segments=((0, len(X), 0),), events=())
+ENTRY_POINTS = {
+    "run": lambda x, y: run(x, y, TesterConfig(t=4, seed=1)),
+    "run_sampled_tester": lambda x, y: run_sampled_tester(x, y, 4, 1.0, random.Random(1)),
+    "selective_scan": lambda x, y: selective_scan(x, y, 4),
+    "edit_distance": edit_distance,
+    "banded_edit_distance": lambda x, y: banded_edit_distance(x, y, 4),
+    "full_cost_table": lambda x, y: full_cost_table(x, y).tolist(),
+    "optimal_alignment": optimal_alignment,
+    "certify_far": lambda x, y: certify_far(x, y, 2),
+    "validate_alignment": lambda x, y: validate_alignment(_DIAGONAL, x, y),
+    "QueriedString": lambda x, y: (QueriedString(x).data, QueriedString(y).data),
+}
+ACCEPTED = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": memoryview,
+    "str": lambda b: b.decode("ascii"),
+    "QueriedString": QueriedString,
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_share_one_input_rule(name):
+    call = ENTRY_POINTS[name]
+    for bad in (5, None, 2.5, [97]):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            call(bad, Y)
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            call(X, bad)
+    # the constructor takes the raw types; every other entry point also
+    # takes a QueriedString
+    skip = "QueriedString" if name == "QueriedString" else None
+    forms = [form for kind, form in ACCEPTED.items() if kind != skip]
+    results = [call(form(X), form(Y)) for form in forms]
+    assert all(r == results[0] for r in results), name
 
 
 def test_bytes_match_truth_table():

@@ -31,6 +31,9 @@ def test_geometric_gap_rejects_nonpositive_rate():
         geometric_gap(0.0, random.Random(0))
     with pytest.raises(ValueError):
         geometric_gap(-0.5, random.Random(0))
+    # positive, but log(1 - rate) rounds to 0.0
+    with pytest.raises(ValueError):
+        geometric_gap(1e-20, random.Random(0))
 
 
 def test_geometric_gap_mean_matches_rate():

@@ -102,7 +102,7 @@ def test_fully_periodic_pair_never_leaves_contiguous_mode():
     v = _run(x, y, t=16, seed=3)
     assert v.is_close and v.final_a0 == 0
     assert v.stats.to_contiguous == 0
-    assert v.stats.binary_searches == 0
+    assert len(v.stats.search_rows) == 0
 
 
 def test_each_period_transition_triggers_one_search():
@@ -110,7 +110,7 @@ def test_each_period_transition_triggers_one_search():
         x, y = gen_periodic_splice(4096, 2, 5, seed=gseed, sigma=8)
         v = _run(x, y, t=16, seed=3)
         assert v.is_close, gseed
-        assert v.stats.binary_searches == 5, gseed
+        assert len(v.stats.search_rows) == 5, gseed
         assert v.final_a0 in {7, 9, 10, 11}, (gseed, v.final_a0)
 
 
@@ -123,7 +123,7 @@ def test_one_sided_excursions_charge_the_deviating_side():
     assert x[4:s0] == x[: s0 - 4]
     v = _run(x, y, t=24, seed=3)
     assert v.is_close
-    assert v.stats.binary_searches == 3
+    assert len(v.stats.search_rows) == 3
     assert v.stats.search_rows == [1634, 2449, 3264]
     assert v.final_a0 == 16
     assert ref_edit_distance(x, y) == 13
@@ -139,7 +139,7 @@ def test_sparse_sampling_outcomes_are_seed_stable():
     for tseed, (searches, rows, a0) in expected.items():
         v = _run(x, y, t=16, c_s=0.5, seed=tseed)
         assert v.is_close, tseed
-        assert v.stats.binary_searches == searches, tseed
+        assert len(v.stats.search_rows) == searches, tseed
         assert v.stats.search_rows == rows, tseed
         assert v.final_a0 == a0, tseed
 
