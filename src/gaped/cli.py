@@ -128,14 +128,11 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
     x, y = QueriedString(xb), QueriedString(yb)
     started = time.perf_counter_ns()
     transitions = 0
-    if args.algo == "oracle":
-        dist = banded_edit_distance(x, y, args.t)
+    if args.algo in ("oracle", "scan"):
+        exact = banded_edit_distance if args.algo == "oracle" else selective_scan
+        dist = exact(x, y, args.t)
         answer = Answer.CLOSE if dist is not None else Answer.FAR
         final_a0 = dist if dist is not None else args.t + 1
-    elif args.algo == "scan":
-        res = selective_scan(x, y, args.t)
-        answer = Answer.CLOSE if res is not None else Answer.FAR
-        final_a0 = res if res is not None else args.t + 1
     else:
         try:
             if args.algo == "sampled":

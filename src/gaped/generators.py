@@ -126,7 +126,7 @@ def gen_periodic_splice(
         raise ValueError("transition count cannot be negative")
     events = num_transitions + 1 if num_transitions > 0 else 0
     spacing = n // (events + 1)
-    if spacing < 6 * g + 48:
+    if events and spacing < 6 * g + 48:
         raise ValueError("transitions too dense for the string length")
     rng = random.Random(seed)
     alpha = _alphabet(sigma)

@@ -182,6 +182,13 @@ def optimal_alignment(x, y) -> SuccinctAlignment:
 # Banded costs and potent sets under the scan's boundary semantics.
 
 
+def _mismatch(bx: bytes, by: bytes, r: int, d: int) -> bool:
+    """Does row r mismatch on diagonal d?  Reads past either end always do."""
+    a = bx[r] if 0 <= r < len(bx) else None
+    b = by[r + d] if 0 <= r + d < len(by) else None
+    return not bytes_match(a, b)
+
+
 def banded_cost_table(x, y, t: int) -> list[list[int]]:
     """Costs of the band-restricted grid the selective scan walks.
 
@@ -191,14 +198,8 @@ def banded_cost_table(x, y, t: int) -> list[list[int]]:
     never decreases along an edge.  Missing neighbors are skipped.
     """
     bx, by = as_queried(x).read_all(), as_queried(y).read_all()
-    nx, ny = len(bx), len(by)
+    nx = len(bx)
     width = 2 * t + 1
-
-    def mis(r: int, d: int) -> int:
-        a = bx[r] if 0 <= r < nx else None
-        c = r + d
-        b = by[c] if 0 <= c < ny else None
-        return 0 if bytes_match(a, b) else 1
 
     rows = [[INF] * width for _ in range(nx + 1)]
     for k in range(width):
@@ -214,7 +215,7 @@ def banded_cost_table(x, y, t: int) -> list[list[int]]:
                 continue
             best = INF
             if prev[k] < INF:
-                best = prev[k] + mis(i - 1, d)
+                best = prev[k] + _mismatch(bx, by, i - 1, d)
             if k + 1 < width and prev[k + 1] < INF:
                 best = min(best, prev[k + 1] + 1)
             if k - 1 >= 0 and cur[k - 1] < INF:
@@ -236,15 +237,9 @@ def banded_potent_table(x, y, t: int) -> list[set[int]]:
     y[i+d]).  An undominated cell is potent outright.
     """
     bx, by = as_queried(x).read_all(), as_queried(y).read_all()
-    nx, ny = len(bx), len(by)
+    nx = len(bx)
     costs = banded_cost_table(bx, by, t)
     width = 2 * t + 1
-
-    def mis(r: int, d: int) -> bool:
-        a = bx[r] if 0 <= r < nx else None
-        c = r + d
-        b = by[c] if 0 <= c < ny else None
-        return not bytes_match(a, b)
 
     table: list[set[int]] = []
     prev_potent: set[int] = set()
@@ -259,9 +254,9 @@ def banded_potent_table(x, y, t: int) -> list[set[int]]:
             h = row[k]
             ok = True
             if k - 1 >= 0 and i + d - 1 >= 0 and row[k - 1] == h - 1:
-                ok = (d - 1) in potent and mis(i, d - 1)
+                ok = (d - 1) in potent and _mismatch(bx, by, i, d - 1)
             if ok and up is not None and k + 1 < width and up[k + 1] == h - 1:
-                ok = (d + 1) in prev_potent and mis(i - 1, d + 1)
+                ok = (d + 1) in prev_potent and _mismatch(bx, by, i - 1, d + 1)
             if ok:
                 potent.add(d)
         table.append(potent)

@@ -31,74 +31,32 @@ class PeriodState:
     i_pat: first row of the regime (the start of the quiet window).
     g: period length, the gcd of pairwise differences of the diagonal set.
     p: the period pattern, p = x[i_pat .. i_pat+g-1].
-    d_min, d_max: extremes of the diagonal set at entry; m = d_max - d_min.
-    m is frozen at entry and never recomputed mid-regime.
+    d_max: top diagonal of the set at entry; m is the set's spread, frozen
+    at entry and never recomputed mid-regime.
     """
 
     i_pat: int
     g: int
     p: bytes
-    d_min: int
     d_max: int
     m: int
 
-    def __post_init__(self):
-        if self.g < 1:
-            raise ValueError("period length must be positive")
-        if len(self.p) != self.g:
-            raise ValueError("pattern length must equal the period")
-        if self.m != self.d_max - self.d_min or self.m < 1:
-            raise ValueError("diagonal spread is inconsistent")
-
     @classmethod
     def capture(cls, x: QueriedString, diagonals, i_pat: int) -> "PeriodState":
-        d_min, d_max = min(diagonals), max(diagonals)
-        g = gcd_of_diffs(diagonals)
+        """Capture from the sorted, duplicate-free active set (>= 2 members)."""
+        g = math.gcd(*(b - a for a, b in zip(diagonals, diagonals[1:])))
         p = []
         for k in range(i_pat, i_pat + g):
             c = x.read(k)
             if c is None:
                 raise ValueError("period pattern window runs past the string")
             p.append(c)
-        return cls(i_pat=i_pat, g=g, p=bytes(p), d_min=d_min, d_max=d_max,
-                   m=d_max - d_min)
+        return cls(i_pat=i_pat, g=g, p=bytes(p), d_max=diagonals[-1],
+                   m=diagonals[-1] - diagonals[0])
 
     def slot(self, k: int) -> int:
         """Pattern byte expected at row k."""
         return self.p[(k - self.i_pat) % self.g]
-
-
-def gcd_of_diffs(diagonals) -> int:
-    """gcd of all pairwise differences of a diagonal set with >= 2 members."""
-    ds = sorted(set(diagonals))
-    if len(ds) < 2:
-        raise ValueError("need at least two diagonals to take a period")
-    return math.gcd(*(b - a for a, b in zip(ds, ds[1:])))
-
-
-def verify_periodicity_window(x, y, i: int, diagonals) -> bool:
-    """Brute-force check of the shared window behind row i.
-
-    True iff x[j'] == y[j'+d] for every d in the diagonal set and every
-    row j' in [i-2m+1 .. i], where m is the spread of the set.  Raises if
-    the window leaves either string.  Verification-only; the testers never
-    call this.
-    """
-    ds = sorted(set(diagonals))
-    if len(ds) < 2:
-        raise ValueError("need at least two diagonals")
-    m = ds[-1] - ds[0]
-    lo = i - 2 * m + 1
-    if lo < 0 or i >= len(x):
-        raise ValueError("window leaves x")
-    if lo + ds[0] < 0 or i + ds[-1] >= len(y):
-        raise ValueError("window leaves y")
-    for j in range(lo, i + 1):
-        cx = x.read(j)
-        for d in ds:
-            if y.read(j + d) != cx:
-                return False
-    return True
 
 
 def row_deviates(x, y, state: PeriodState, k: int) -> bool:
@@ -151,8 +109,8 @@ def find_period_transition(x, y, state: PeriodState, i: int) -> int:
     return lo - 1
 
 
-def mismatched_diagonals(x, y, j: int, diagonals):
-    """Diagonals with a direct mismatch in rows [j .. j+m] after a transition.
+def mismatched_diagonals(x, y, lo: int, hi: int, diagonals):
+    """Diagonals with a direct mismatch in rows [lo .. hi] after a transition.
 
     Returns the set of diagonals d with x[j'] != y[j'+d] for some in-range
     row j' in the window.  Only pairs with both reads in range count; rows
@@ -160,15 +118,9 @@ def mismatched_diagonals(x, y, j: int, diagonals):
     one diagonal uncharged near the end of the strings (the caller probes
     the extras separately).
     """
-    ds = sorted(set(diagonals))
-    m = ds[-1] - ds[0]
     charged = set()
-    for d in ds:
-        for jp in range(j, j + m + 1):
-            if jp < 0 or jp >= len(x):
-                continue
-            if jp + d < 0 or jp + d >= len(y):
-                continue
+    for d in diagonals:
+        for jp in range(max(lo, 0, -d), min(hi, len(x) - 1, len(y) - 1 - d) + 1):
             if x.read(jp) != y.read(jp + d):
                 charged.add(d)
                 break

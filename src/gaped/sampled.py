@@ -139,6 +139,10 @@ def run_sampled_tester(x, y, t: int, c_s: float, rng) -> Verdict:
     correct with constant probability once the true distance passes order
     t^2 (the sampled rows then catch enough forced mismatches).
     """
+    if t < 1:
+        raise ValueError("band radius t must be >= 1")
+    if c_s <= 0:
+        raise ValueError("sampling constant must be positive")
     x, y = as_queried(x), as_queried(y)
     if abs(len(y) - len(x)) > t:
         return Verdict(Answer.FAR, t + 1, ledger_snapshot(x, y), 0)

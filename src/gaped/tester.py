@@ -95,10 +95,10 @@ class ModeState:
     costs: CostArray
     period: PeriodState | None
     quiet_rows: int
-    rate: float = 1.0
-    rng_rows: random.Random | None = None
-    rng_probe: random.Random | None = None
-    stats: RunStats | None = None
+    rate: float
+    rng_rows: random.Random
+    rng_probe: random.Random
+    stats: RunStats
     rep_d: int = 0
     seg_start: int = 0
 
@@ -127,7 +127,7 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
     )
 
 
-def contiguous_round(state: ModeState, x, y, cfg: TesterConfig) -> None:
+def contiguous_round(state: ModeState, x, y) -> None:
     """Process one contiguous row, then switch to sampling if quiet.
 
     The row goes through scan.advance_row with the finishing diagonal 0:
@@ -165,7 +165,7 @@ def contiguous_round(state: ModeState, x, y, cfg: TesterConfig) -> None:
         state.i = state.i - 1 + geometric_gap(state.rate, state.rng_rows)
 
 
-def sampling_round(state: ModeState, x, y, cfg: TesterConfig) -> None:
+def sampling_round(state: ModeState, x, y) -> None:
     """Process one sampled row.
 
     With a captured period (several active diagonals), verify the period
@@ -178,8 +178,8 @@ def sampling_round(state: ModeState, x, y, cfg: TesterConfig) -> None:
     diagonals spread to their neighbours and the tester drops back to
     contiguous mode on the next row.
     """
-    t = cfg.t
     costs = state.costs
+    t = costs.t
     stats = state.stats
     diags = state.diagonals
     period = state.period
@@ -197,7 +197,7 @@ def sampling_round(state: ModeState, x, y, cfg: TesterConfig) -> None:
     else:
         stats.search_rows.append(rs)
         j = find_period_transition(x, y, period, rs)
-        charged = mismatched_diagonals(x, y, j + 1, diags)
+        charged = mismatched_diagonals(x, y, j + 1, j + 1 + period.m, diags)
         uncharged = [d for d in diags if d not in charged]
         for d in uncharged:
             if probe_diagonal(x, y, d, period.i_pat, rs, state.rate, state.rng_probe):
@@ -271,9 +271,9 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
     answer = Answer.CLOSE
     while state.i < n:
         if state.mode is Mode.CONTIGUOUS:
-            contiguous_round(state, x, y, cfg)
+            contiguous_round(state, x, y)
         else:
-            sampling_round(state, x, y, cfg)
+            sampling_round(state, x, y)
         if state.costs.cost(0) > t or not state.diagonals:
             answer = Answer.FAR
             break

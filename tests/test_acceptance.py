@@ -388,7 +388,7 @@ def test_criterion_07_transition_charging():
         else:
             y[j0 + d_max] = other
         charged = mismatched_diagonals(
-            QueriedString(bytes(x)), QueriedString(bytes(y)), j0, ds
+            QueriedString(bytes(x)), QueriedString(bytes(y)), j0, j0 + m, ds
         )
         if len(charged) < len(ds) - 1:
             charge_fail += 1

@@ -100,9 +100,11 @@ def test_periodic_splice_validates_parameters():
 
 
 def test_periodic_splice_no_transitions_is_a_perfect_tiling():
-    x, y = gen_periodic_splice(1024, 4, 0, seed=2)
-    assert x == y
-    assert x[4:] == x[:-4]
+    for n in (1024, 10):
+        x, y = gen_periodic_splice(n, 4, 0, seed=2)
+        assert len(x) == n
+        assert x == y
+        assert x[4:] == x[:-4]
 
 
 def test_periodic_splice_switch_rows():

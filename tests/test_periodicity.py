@@ -10,11 +10,9 @@ from gaped.periodicity import (
     PeriodState,
     PeriodTransitionError,
     find_period_transition,
-    gcd_of_diffs,
     mismatched_diagonals,
     probe_diagonal,
     row_deviates,
-    verify_periodicity_window,
 )
 from gaped.qstring import QueriedString
 
@@ -31,12 +29,12 @@ def q(b) -> QueriedString:
 # PeriodState
 
 
-def test_gcd_of_diffs():
-    assert gcd_of_diffs([0, 4]) == 4
-    assert gcd_of_diffs([-2, 0, 4]) == 2
-    assert gcd_of_diffs([0, 3, 9]) == 3
-    with pytest.raises(ValueError):
-        gcd_of_diffs([5])
+def test_capture_takes_the_gcd_of_diagonal_differences():
+    x = _periodic(b"abcdef", 40)
+    for diagonals, g, m in (([0, 4], 4, 4), ([-2, 0, 4], 2, 6), ([0, 3, 9], 3, 9)):
+        st = PeriodState.capture(q(x), diagonals, i_pat=5)
+        assert (st.g, st.d_max, st.m) == (g, diagonals[-1], m)
+        assert st.p == x[5 : 5 + g]
 
 
 def test_capture_reads_the_trailing_pattern():
@@ -45,7 +43,7 @@ def test_capture_reads_the_trailing_pattern():
     assert st.g == 2
     assert st.m == 2
     assert st.p == x[19:21]
-    assert st.d_min == 0 and st.d_max == 2
+    assert st.d_max == 2
     # slots continue the tiling in both directions
     for k in (4, 19, 20, 22, 35):
         assert st.slot(k) == x[k]
@@ -54,15 +52,6 @@ def test_capture_reads_the_trailing_pattern():
 def test_capture_rejects_windows_off_the_string():
     with pytest.raises(ValueError):
         PeriodState.capture(q(b"abcd"), [0, 8], i_pat=3)
-
-
-def test_verify_periodicity_window_detects_mismatch():
-    x = _periodic(b"abc", 60)
-    y = _periodic(b"abc", 60)
-    assert verify_periodicity_window(q(x), q(y), 30, [0, 3])
-    y2 = bytearray(y)
-    y2[28] ^= 1
-    assert not verify_periodicity_window(q(x), q(y2), 30, [0, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +154,7 @@ def test_mismatched_diagonals_charges_deviating_diagonals():
     j = 100
     for k in range(j + 1, j + 40):
         x[k] = ord("z")
-    charged = mismatched_diagonals(q(x), q(y), j + 1, [0, 2])
+    charged = mismatched_diagonals(q(x), q(y), j + 1, j + 3, [0, 2])
     assert charged == {0, 2}
 
 
@@ -178,13 +167,13 @@ def test_mismatched_diagonals_spares_the_aligned_diagonal():
     x = bytes(_periodic(b"abcd", n))
     s = 150
     y = x[:s] + b"z" * g + x[s : n - g]
-    charged = mismatched_diagonals(q(x), q(y), s, [0, g])
+    charged = mismatched_diagonals(q(x), q(y), s, s + g, [0, g])
     assert charged == {0}
 
 
 def test_mismatched_diagonals_truncates_at_string_end():
     x = _periodic(b"ab", 20)
-    charged = mismatched_diagonals(q(x), q(x), 19, [0, 2])
+    charged = mismatched_diagonals(q(x), q(x), 19, 21, [0, 2])
     # only row 19..20 can be read; nothing mismatches
     assert charged == set()
 

@@ -191,6 +191,21 @@ def test_length_gap_shortcircuits_without_reads():
     assert x.total == 0 and y.total == 0
 
 
+def test_bad_parameters_raise_whatever_the_lengths():
+    # the length shortcut must not answer for parameters the tester rejects
+    for x, y, t, c_s in (
+        (b"ab", b"ab", -3, 3.0),
+        (b"ab", b"ab", 0, 3.0),
+        (b"abc", b"a", 0, 3.0),
+        (b"", b"", 4, -1.0),
+        (b"abcdefgh", b"a", 4, -1.0),
+        (b"abcd", b"abcd", 4, 0.0),
+    ):
+        with pytest.raises(ValueError):
+            run_sampled_tester(QueriedString(x), QueriedString(y), t, c_s,
+                               random.Random(0))
+
+
 def test_low_rate_reads_sublinearly_many_x_positions():
     n = 1 << 15
     t = 256

@@ -96,7 +96,7 @@ def test_random_far_instances_are_rejected():
 # frozen behavior on structured instances (regression pins)
 
 
-def test_fully_periodic_pair_never_leaves_contiguous_mode():
+def test_fully_periodic_pair_never_leaves_sampling_mode():
     x, y = gen_periodic_splice(4096, 2, 0, seed=0, sigma=8)
     assert x == y
     v = _run(x, y, t=16, seed=3)
