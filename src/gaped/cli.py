@@ -11,8 +11,9 @@ Subcommands:
   and print per-cell aggregate query counts as CSV.
 
 Reports print as JSON (default) or CSV.  Exit status is 0 for any
-completed run regardless of verdict, 2 for bad flags, 3 for unreadable
-input files.  All randomness flows from --seed, falling back to the
+completed run regardless of verdict, 2 for bad flags (argparse names the
+flag and prints the subcommand's usage), 3 for files gaped cannot read
+or write.  All randomness flows from --seed, falling back to the
 GAPED_SEED environment variable, then to 0.  --stable-output zeroes the
 wall-clock fields so output can be compared byte for byte.
 """
@@ -24,26 +25,20 @@ import csv
 import json
 import math
 import os
+import random
 import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .generators import (
-    InstanceSpec,
-    certified_delta,
-    instantiate,
-    write_instance,
-)
+from .generators import InstanceSpec, certified_delta, instantiate, write_instance
 from .oracle import banded_edit_distance
 from .qstring import QueriedString, ledger_snapshot
 from .sampled import run_sampled_tester
 from .scan import selective_scan
 from .tester import TesterConfig
 from .tester import run as run_main_tester
-from .verdict import Answer
 
 SCHEMA_VERSION = 3
 # gen's meta.json layout is versioned apart from the run report's.
@@ -60,39 +55,6 @@ BENCH_FIELDS = (
     "n", "t", "family", "trials", "mean_distinct", "p95_distinct",
     "far_rate", "mean_wall_s",
 )
-
-
-@dataclass
-class RunReport:
-    """Flat, versioned record of one run; field order is the CSV order."""
-
-    schema_version: int
-    instance: str
-    algorithm: str
-    t: int
-    epsilon: float
-    c_s: float
-    verdict: str
-    final_a0: int
-    distinct_x: int
-    distinct_y: int
-    total_accesses: int
-    mode_transitions: int
-    wall_time_ns: int
-    seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True, indent=2)
-
-    def to_csv(self) -> str:
-        names = [f.name for f in fields(self)]
-        import io
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(names)
-        w.writerow([getattr(self, k) for k in names])
-        return buf.getvalue()
 
 
 def _resolve_seed(explicit: int | None) -> int:
@@ -128,43 +90,46 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
     x, y = QueriedString(xb), QueriedString(yb)
     started = time.perf_counter_ns()
     transitions = 0
-    if args.algo in ("oracle", "scan"):
-        exact = banded_edit_distance if args.algo == "oracle" else selective_scan
-        dist = exact(x, y, args.t)
-        answer = Answer.CLOSE if dist is not None else Answer.FAR
-        final_a0 = dist if dist is not None else args.t + 1
-    else:
-        try:
+    try:
+        if args.algo in ("oracle", "scan"):
+            exact = banded_edit_distance if args.algo == "oracle" else selective_scan
+            dist = exact(x, y, args.t)
+            verdict, final_a0 = ("far", args.t + 1) if dist is None else ("close", dist)
+        else:
             if args.algo == "sampled":
-                import random
-
                 v = run_sampled_tester(x, y, args.t, args.cs, random.Random(seed))
             else:
                 cfg = TesterConfig(t=args.t, epsilon=args.eps, c_s=args.cs, seed=seed)
                 v = run_main_tester(x, y, cfg)
-        except ValueError as exc:
-            parser.error(str(exc))
-        answer, final_a0 = v.answer, v.final_a0
-        transitions = v.mode_transitions
+            verdict, final_a0 = v.answer.value, v.final_a0
+            transitions = v.mode_transitions
+    except ValueError as exc:
+        parser.error(str(exc))
     wall = 0 if args.stable_output else time.perf_counter_ns() - started
     ledger = ledger_snapshot(x, y)
-    report = RunReport(
-        schema_version=SCHEMA_VERSION,
-        instance=f"{args.x}::{args.y}",
-        algorithm=args.algo,
-        t=args.t,
-        epsilon=args.eps,
-        c_s=args.cs,
-        verdict=answer.value,
-        final_a0=final_a0,
-        distinct_x=ledger.distinct_x,
-        distinct_y=ledger.distinct_y,
-        total_accesses=ledger.total_accesses,
-        mode_transitions=transitions,
-        wall_time_ns=wall,
-        seed=seed,
-    )
-    print(report.to_csv() if args.csv else report.to_json())
+    # Key order is the CSV column order; JSON sorts its keys.
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "instance": f"{args.x}::{args.y}",
+        "algorithm": args.algo,
+        "t": args.t,
+        "epsilon": args.eps,
+        "c_s": args.cs,
+        "verdict": verdict,
+        "final_a0": final_a0,
+        "distinct_x": ledger.distinct_x,
+        "distinct_y": ledger.distinct_y,
+        "total_accesses": ledger.total_accesses,
+        "mode_transitions": transitions,
+        "wall_time_ns": wall,
+        "seed": seed,
+    }
+    if args.csv:
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(report)
+        w.writerow(report.values())
+    else:
+        print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 
 
@@ -227,7 +192,11 @@ def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
         "delta_exact": None if args.no_certify else certified_delta(x, y),
         "delta_bound": _delta_bound(spec.family, params),
     }
-    write_instance(args.out, x, y, meta)
+    try:
+        write_instance(args.out, x, y, meta)
+    except OSError as exc:
+        print(f"gaped: cannot write instance: {exc}", file=sys.stderr)
+        return 3
     print(json.dumps({"out": str(args.out), "delta_exact": meta["delta_exact"],
                       "delta_bound": meta["delta_bound"]}, sort_keys=True))
     return 0
@@ -265,21 +234,12 @@ def _p95(values: list[int]) -> int:
 
 
 def cmd_bench(args, parser: argparse.ArgumentParser) -> int:
-    try:
-        n_grid = [int(v) for v in args.n_grid.split(",") if v.strip()]
-        t_grid = [int(v) for v in args.t_grid.split(",") if v.strip()]
-    except ValueError:
-        parser.error("--n-grid and --t-grid take comma-separated integers")
-    if not n_grid or not t_grid:
-        parser.error("--n-grid and --t-grid must be non-empty")
-    if min(n_grid + t_grid) < 1:
-        parser.error("--n-grid and --t-grid values must be at least 1")
     family = _FAMILY_FLAGS[args.family]
     seed = _resolve_seed(args.seed)
     tasks = [
         (family, n, t, trial, seed, args.cs, args.eps)
-        for n in n_grid
-        for t in t_grid
+        for n in args.n_grid
+        for t in args.t_grid
         for trial in range(args.trials)
     ]
     try:
@@ -297,8 +257,8 @@ def cmd_bench(args, parser: argparse.ArgumentParser) -> int:
         by_cell.setdefault((n, t), []).append((distinct, far, wall))
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(BENCH_FIELDS)
-    for n in n_grid:
-        for t in t_grid:
+    for n in args.n_grid:
+        for t in args.t_grid:
             cell = by_cell.get((n, t), [])
             if not cell:
                 continue
@@ -316,6 +276,28 @@ def cmd_bench(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _checked(kind, ok, rule: str):
+    """An argparse type: convert with `kind`, then require `ok(value)`."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return convert
+
+
+_at_least_1 = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_at_least_0 = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_epsilon = _checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
+_rate_constant = _checked(float, lambda v: v > 0, "a number > 0")
+_grid = _checked(lambda text: [int(v) for v in text.split(",") if v.strip()],
+                 lambda g: g and min(g) >= 1,
+                 "a non-empty, comma-separated list of integers >= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gaped",
@@ -328,12 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("oracle", "scan", "sampled", "main"))
     r.add_argument("--x", required=True, metavar="FILE")
     r.add_argument("--y", required=True, metavar="FILE")
-    r.add_argument("-t", dest="t", type=int, required=True,
+    r.add_argument("-t", dest="t", type=_at_least_1, required=True,
                    help="close/far threshold parameter")
-    r.add_argument("--eps", type=float, default=0.0,
+    r.add_argument("--eps", type=_epsilon, default=0.0,
                    help="sampling exponent; far threshold becomes 13 t^(2-eps)")
     r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--cs", type=float, default=3.0,
+    r.add_argument("--cs", type=_rate_constant, default=3.0,
                    help="sampling-rate constant")
     r.add_argument("--fasta", action="store_true",
                    help="treat inputs as FASTA: drop '>' header lines, join the rest")
@@ -346,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="materialize one instance to a directory")
     g.add_argument("--family", required=True, choices=tuple(_FAMILY_FLAGS))
     g.add_argument("--out", required=True, metavar="DIR")
-    g.add_argument("-n", dest="n", type=int, required=True)
+    g.add_argument("-n", dest="n", type=_at_least_1, required=True)
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--sigma", type=int, default=4, help="alphabet size")
     g.add_argument("--k", type=int, default=None,
@@ -363,48 +345,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the exact-oracle distance in meta.json")
 
     b = sub.add_parser("bench", help="sweep an (n, t) grid; CSV to stdout")
-    b.add_argument("--n-grid", required=True, help="comma-separated lengths")
-    b.add_argument("--t-grid", required=True, help="comma-separated thresholds")
-    b.add_argument("--trials", type=int, default=3)
+    b.add_argument("--n-grid", type=_grid, required=True,
+                   help="comma-separated lengths")
+    b.add_argument("--t-grid", type=_grid, required=True,
+                   help="comma-separated thresholds")
+    b.add_argument("--trials", type=_at_least_0, default=3)
     b.add_argument("--family", choices=tuple(_FAMILY_FLAGS),
                    default="independent")
     b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--cs", type=float, default=3.0)
-    b.add_argument("--eps", type=float, default=0.0)
-    b.add_argument("--workers", type=int, default=1)
+    b.add_argument("--cs", type=_rate_constant, default=3.0)
+    b.add_argument("--eps", type=_epsilon, default=0.0)
+    b.add_argument("--workers", type=_at_least_1, default=1)
     b.add_argument("--stable-output", action="store_true")
 
-    for sp in (r, g, b):
-        sp.set_defaults(command_parser=sp)
+    # Errors go through the subcommand's own parser, so usage names it.
+    for sp, handler in ((r, cmd_run), (g, cmd_gen), (b, cmd_bench)):
+        sp.set_defaults(command_parser=sp, handler=handler)
     return p
-
-
-def _check_sampling_flags(args, parser: argparse.ArgumentParser) -> None:
-    if not 0.0 <= args.eps < 1.0:
-        parser.error("--eps must lie in [0, 1)")
-    if args.cs <= 0:
-        parser.error("--cs must be positive")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Errors go through the subcommand's own parser, so usage names it.
-    parser = args.command_parser
-    if args.command == "run":
-        if args.t < 1:
-            parser.error("t must be a positive integer")
-        _check_sampling_flags(args, parser)
-        return cmd_run(args, parser)
-    if args.command == "gen":
-        if args.n < 1:
-            parser.error("n must be a positive integer")
-        return cmd_gen(args, parser)
-    if args.trials < 0:
-        parser.error("--trials cannot be negative")
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
-    _check_sampling_flags(args, parser)
-    return cmd_bench(args, parser)
+    return args.handler(args, args.command_parser)
 
 
 if __name__ == "__main__":

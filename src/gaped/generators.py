@@ -47,8 +47,8 @@ def _alphabet(sigma: int) -> bytes:
 
 def gen_random_edits(n: int, k: int, seed: int, *, sigma: int = 4) -> tuple[bytes, bytes]:
     """Uniform x and y = x after k random edits; distance at most k."""
-    if k > n:
-        raise ValueError("edit budget cannot exceed the string length")
+    if not 0 <= k <= n:
+        raise ValueError(f"edit budget {k} must lie in [0, n = {n}]")
     rng = random.Random(seed)
     alpha = _alphabet(sigma)
     x = bytes(rng.choices(alpha, k=n))

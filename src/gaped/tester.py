@@ -75,8 +75,7 @@ class TesterConfig:
 class RunStats:
     """Counters and event log accumulated over one run."""
 
-    to_contiguous: int = 0
-    to_sampling: int = 0
+    mode_transitions: int = 0
     contiguous_rows: int = 0
     sampled_rows: int = 0
     search_rows: list[int] = field(default_factory=list)
@@ -161,7 +160,7 @@ def contiguous_round(state: ModeState, x, y) -> None:
         else:
             state.period = None
         state.mode = Mode.SAMPLING
-        stats.to_sampling += 1
+        stats.mode_transitions += 1
         state.i = state.i - 1 + geometric_gap(state.rate, state.rng_rows)
 
 
@@ -213,7 +212,7 @@ def sampling_round(state: ModeState, x, y) -> None:
     state.diagonals = sorted(live)
     state.period = None
     state.mode = Mode.CONTIGUOUS
-    stats.to_contiguous += 1
+    stats.mode_transitions += 1
     state.quiet_rows = 0
     state.i = rs + 1
 
@@ -288,7 +287,7 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
         answer=answer,
         final_a0=min(state.costs.cost(0), t + 1),
         ledger=ledger_snapshot(x, y),
-        mode_transitions=stats.to_contiguous + stats.to_sampling,
+        mode_transitions=stats.mode_transitions,
         alignment=alignment,
         stats=stats,
     )

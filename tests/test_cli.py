@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gaped
-from gaped.cli import BENCH_FIELDS, RunReport, main
+from gaped.cli import BENCH_FIELDS, main
 from gaped.generators import gen_independent_random, gen_random_edits
 from gaped.oracle import edit_distance
 from gaped.qstring import QueriedString
@@ -87,9 +87,22 @@ def test_run_csv_header_matches_report_fields(pair):
     )
     assert code == 0
     rows = [r for r in csv.reader(io.StringIO(out)) if r]
-    assert rows[0] == [f for f in RunReport.__dataclass_fields__]
+    assert rows[0] == [
+        "schema_version", "instance", "algorithm", "t", "epsilon", "c_s",
+        "verdict", "final_a0", "distinct_x", "distinct_y", "total_accesses",
+        "mode_transitions", "wall_time_ns", "seed",
+    ]
     assert len(rows) == 2
     assert rows[1][rows[0].index("verdict")] == "close"
+
+
+def test_run_csv_report_is_exactly_two_lines(pair):
+    xp, yp = pair
+    _, out = run_cli(["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "8",
+                      "--stable-output", "--csv"])
+    header, row = out.split("\n")[:2]
+    assert out == f"{header}\n{row}\n"
+    assert len(header.split(",")) == len(row.split(",")) == 14
 
 
 def test_run_stable_output_is_byte_identical(pair):
@@ -150,23 +163,28 @@ def test_run_fasta_strips_headers(tmp_path):
 
 def test_run_flag_validation_exits_2(pair, capsys):
     xp, yp = pair
+    files = ["--x", xp, "--y", yp]
+    # argparse names the flag it rejects; a value only the tester can
+    # judge (a --cs so small the sampling rate underflows) is named by the
+    # tester's own message
     bad = (
-        ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "0"],
-        ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "4", "--eps", "1.0"],
-        ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "4", "--cs", "0"],
-        ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "4", "--cs", "1e-20"],
-        ["run", "--algo", "sampled", "--x", xp, "--y", yp, "-t", "4", "--cs", "1e-20"],
-        ["run", "--algo", "mystery", "--x", xp, "--y", yp, "-t", "4"],
-        ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "4",
-         "--json", "--csv"],
+        (["--algo", "main", "-t", "0"], "argument -t:"),
+        (["--algo", "main", "-t", "x"], "argument -t:"),
+        (["--algo", "main", "-t", "4", "--eps", "1.0"], "argument --eps:"),
+        (["--algo", "main", "-t", "4", "--cs", "0"], "argument --cs:"),
+        (["--algo", "main", "-t", "4", "--cs", "1e-20"], "sampling rate"),
+        (["--algo", "sampled", "-t", "4", "--cs", "1e-20"], "sampling rate"),
+        (["--algo", "mystery", "-t", "4"], "argument --algo:"),
+        (["--algo", "main", "-t", "4", "--json", "--csv"], "argument --csv:"),
     )
-    for argv in bad:
+    for argv, named in bad:
         with pytest.raises(SystemExit) as exc:
-            run_cli(argv)
+            run_cli(["run", *files, *argv])
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
         assert "Traceback" not in err, argv
         assert "usage: gaped run" in err, argv
+        assert named in err, argv
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +232,26 @@ def test_gen_missing_family_parameter_exits_2(tmp_path, capsys):
         assert "usage: gaped gen" in capsys.readouterr().err, missing
 
 
-def test_gen_invalid_generator_arguments_exit_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["gen", "--family", "periodic-splice", "--out",
-                 str(tmp_path / "d"), "-n", "1024", "--period", "3"])
-    assert exc.value.code == 2
+def test_gen_invalid_generator_arguments_exit_2(tmp_path, capsys):
+    for args in (["--family", "periodic-splice", "-n", "1024", "--period", "3"],
+                 ["--family", "random-edits", "-n", "50", "--k", "-1"],
+                 ["--family", "independent", "-n", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen", "--out", str(tmp_path / "d"), *args])
+        assert exc.value.code == 2, args
+        assert "usage: gaped gen" in capsys.readouterr().err, args
+    assert not (tmp_path / "d").exists()
+
+
+def test_gen_unwritable_out_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out = run_cli(["gen", "--family", "independent", "-n", "64",
+                         "--out", str(blocker / "inst")])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("gaped: cannot write instance: ")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +283,32 @@ def test_bench_workers_do_not_change_the_output():
 
 
 def test_bench_flag_validation_exits_2(capsys):
+    # As for run: argparse names the flag; a grid the generator or tester
+    # cannot use is named by their own message
+    grid = ["--n-grid", "256", "--t-grid", "4"]
     bad = (
-        ["bench", "--n-grid", "abc", "--t-grid", "4"],
-        ["bench", "--n-grid", "", "--t-grid", "4"],
-        ["bench", "--n-grid", "256", "--t-grid", "4", "--trials", "-1"],
-        ["bench", "--n-grid", "256", "--t-grid", "4", "--workers", "0"],
-        ["bench", "--family", "periodic-splice", "--n-grid", "64", "--t-grid", "4"],
-        ["bench", "--family", "random-edits", "--n-grid", "1", "--t-grid", "8"],
-        ["bench", "--n-grid", "256", "--t-grid", "0"],
-        ["bench", "--n-grid", "256", "--t-grid", "4", "--cs", "0"],
-        ["bench", "--n-grid", "256", "--t-grid", "4", "--cs", "1e-20"],
-        ["bench", "--n-grid", "256", "--t-grid", "4", "--eps", "1.5"],
+        (["--n-grid", "abc", "--t-grid", "4"], "argument --n-grid:"),
+        (["--n-grid", "", "--t-grid", "4"], "argument --n-grid:"),
+        (["--n-grid", ",", "--t-grid", "4"], "argument --n-grid:"),
+        ([*grid, "--trials", "-1"], "argument --trials:"),
+        ([*grid, "--workers", "0"], "argument --workers:"),
+        (["--family", "periodic-splice", "--n-grid", "64", "--t-grid", "4"],
+         "transitions too dense"),
+        (["--family", "random-edits", "--n-grid", "1", "--t-grid", "8"],
+         "edit budget"),
+        (["--n-grid", "256", "--t-grid", "0"], "argument --t-grid:"),
+        ([*grid, "--cs", "0"], "argument --cs:"),
+        ([*grid, "--cs", "1e-20"], "sampling rate"),
+        ([*grid, "--eps", "1.5"], "argument --eps:"),
     )
-    for argv in bad:
+    for argv, named in bad:
         with pytest.raises(SystemExit) as exc:
-            run_cli(argv)
+            run_cli(["bench", *argv])
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
         assert "Traceback" not in err, argv
         assert "usage: gaped bench" in err, argv
+        assert named in err, argv
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def test_random_edits_distance_is_the_requested_budget():
     # n=1024, k=3 the realized distance equals k for these seeds
     for seed in range(10):
         x, y = gen_random_edits(1024, 3, seed)
-        d = ref_edit_distance(x, y)
+        d = edit_distance(x, y)
         assert 1 <= d <= 3
         assert d == 3, seed
 
@@ -71,6 +71,8 @@ def test_random_edits_distance_is_the_requested_budget():
 def test_random_edits_rejects_oversized_budget():
     with pytest.raises(ValueError):
         gen_random_edits(10, 11, 0)
+    with pytest.raises(ValueError):
+        gen_random_edits(10, -1, 0)
 
 
 # ---------------------------------------------------------------------------

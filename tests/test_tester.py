@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from conftest import mutate, random_bytes, ref_edit_distance
+from conftest import mutate, random_bytes
 from gaped.alignment import SUBSTITUTION, validate_alignment
 from gaped.generators import gen_independent_random, gen_periodic_splice, gen_random_edits
+from gaped.oracle import edit_distance
 from gaped.qstring import QueriedString
 from gaped.scan import selective_scan
 from gaped.tester import TesterConfig, run
@@ -70,7 +71,7 @@ def test_close_instances_verdict_and_cost():
         k = rng.randrange(0, 5)
         x = random_bytes(rng, n)
         y = mutate(rng, x, k)
-        d = ref_edit_distance(x, y)
+        d = edit_distance(x, y)
         v = _run(x, y, t=8, seed=trial)
         assert v.is_close, trial
         assert d <= v.final_a0 <= 8
@@ -101,7 +102,7 @@ def test_fully_periodic_pair_never_leaves_sampling_mode():
     assert x == y
     v = _run(x, y, t=16, seed=3)
     assert v.is_close and v.final_a0 == 0
-    assert v.stats.to_contiguous == 0
+    assert v.mode_transitions == 0
     assert len(v.stats.search_rows) == 0
 
 
@@ -126,7 +127,7 @@ def test_one_sided_excursions_charge_the_deviating_side():
     assert len(v.stats.search_rows) == 3
     assert v.stats.search_rows == [1634, 2449, 3264]
     assert v.final_a0 == 16
-    assert ref_edit_distance(x, y) == 13
+    assert edit_distance(x, y) == 13
 
 
 def test_sparse_sampling_outcomes_are_seed_stable():
