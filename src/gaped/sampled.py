@@ -14,12 +14,26 @@ reads fan out across the band, so only x enjoys the sublinear bound here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .qstring import as_queried, bytes_match, ledger_snapshot
 from .verdict import Answer, Verdict
 
 _INF = 1 << 28
+
+
+def check_parameters(t, c_s) -> None:
+    """Reject a t that is not an integer >= 1 and a c_s that is not > 0.
+
+    Python and numpy integers pass, floats such as 2.5 do not.  The test
+    is `not c_s > 0` so that NaN, which min(1, nan) would turn into rate 1,
+    is rejected too.
+    """
+    if not isinstance(t, numbers.Integral) or t < 1:
+        raise ValueError(f"t must be an integer of at least 1, got {t!r}")
+    if not c_s > 0:
+        raise ValueError(f"sampling constant must be positive, got {c_s!r}")
 
 
 def geometric_gap(rate: float, rng) -> int:
@@ -54,8 +68,7 @@ def sample_rows(n: int, t: int, c_s: float, rng) -> list[int]:
     Generated by geometric gap-skipping, so the cost is proportional to
     the sample size rather than n.
     """
-    if t < 1:
-        raise ValueError("band radius t must be >= 1")
+    check_parameters(t, c_s)
     p = sampling_rate(n, t, c_s)
     rows = [0]
     r = 0
@@ -139,10 +152,7 @@ def run_sampled_tester(x, y, t: int, c_s: float, rng) -> Verdict:
     correct with constant probability once the true distance passes order
     t^2 (the sampled rows then catch enough forced mismatches).
     """
-    if t < 1:
-        raise ValueError("band radius t must be >= 1")
-    if c_s <= 0:
-        raise ValueError("sampling constant must be positive")
+    check_parameters(t, c_s)
     x, y = as_queried(x), as_queried(y)
     if abs(len(y) - len(x)) > t:
         return Verdict(Answer.FAR, t + 1, ledger_snapshot(x, y), 0)

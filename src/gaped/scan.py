@@ -16,8 +16,6 @@ and the rule only looks one row back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .qstring import QueriedString, as_queried, bytes_match
 
 
@@ -68,9 +66,6 @@ class CostArray:
     def was_potent(self, d: int, row: int) -> bool:
         return self.potent_row[d + self.t] == row
 
-    def snapshot(self) -> tuple[int, ...]:
-        return tuple(self.a)
-
 
 def is_potent(
     costs: CostArray, i: int, d: int, x: QueriedString, y: QueriedString
@@ -99,28 +94,14 @@ def is_potent(
     return True
 
 
-@dataclass
-class ScanTrace:
-    """Optional scan observer used by the verification suites.
-
-    rows collects (row, active diagonals kept as potent at that row);
-    snapshots collects (row, diagonal, counter values after processing that
-    diagonal), indexed -t..t left to right.
-    """
-
-    rows: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
-    snapshots: list[tuple[int, int, tuple[int, ...]]] = field(default_factory=list)
-
-
 def advance_row(
     costs: CostArray,
     active: list[int],
     i: int,
     x: QueriedString,
     y: QueriedString,
-    d_end: int = 0,
+    d_end: int,
     prune: bool = True,
-    trace: ScanTrace | None = None,
 ) -> tuple[list[int], list[int]]:
     """Row i of the potency rule, for the scan and the tester alike.
 
@@ -148,8 +129,6 @@ def advance_row(
         if prune and costs.cost(d) > t - abs(d - d_end):
             continue
         if not is_potent(costs, i, d, x, y):
-            if trace is not None:
-                trace.snapshots.append((i, d, costs.snapshot()))
             continue
         costs.mark_potent(d, i)
         if not bytes_match(x.read(i), y.read(i + d)):
@@ -160,31 +139,17 @@ def advance_row(
             if d - 1 >= -t and (not nxt or nxt[-1] != d - 1):
                 nxt.append(d - 1)
         nxt.append(d)
-        if trace is not None:
-            trace.snapshots.append((i, d, costs.snapshot()))
-    if trace is not None:
-        trace.rows.append((i, tuple(d for d in nxt if costs.was_potent(d, i))))
     return nxt, charged
 
 
-def selective_scan(
-    x,
-    y,
-    t: int,
-    *,
-    prune: bool = True,
-    trace: ScanTrace | None = None,
-) -> int | None:
+def selective_scan(x, y, t: int) -> int | None:
     """Edit distance if it is at most t, else None (exceeds-t).
 
-    With prune=True (default), diagonals whose counter exceeds the budget
-    left for returning to the finishing diagonal are dropped, and the scan
-    exits early once the active set empties or the finishing diagonal's
-    counter passes t.  Dropped diagonals can never participate in a path of
-    cost <= t, so the returned cost is unaffected.  prune=False runs every
-    active diagonal to the last row; the verification suites use it because
-    only the unpruned scan keeps the active sets equal to the true potent
-    sets on far inputs.
+    Diagonals whose counter exceeds the budget left for returning to the
+    finishing diagonal are dropped, and the scan exits early once the
+    active set empties or the finishing diagonal's counter passes t.
+    Dropped diagonals can never participate in a path of cost <= t, so the
+    returned cost is unaffected.
     """
     x, y = as_queried(x), as_queried(y)
     nx, ny = len(x), len(y)
@@ -194,10 +159,7 @@ def selective_scan(
     costs = CostArray(t)
     active = [0]
     for i in range(nx):
-        active, _ = advance_row(costs, active, i, x, y, d_end, prune, trace)
-        if prune and (not active or costs.cost(d_end) > t):
+        active, _ = advance_row(costs, active, i, x, y, d_end)
+        if not active or costs.cost(d_end) > t:
             return None
-        if not active:
-            break
-    final = costs.cost(d_end)
-    return final if final <= t else None
+    return costs.cost(d_end)

@@ -37,7 +37,7 @@ from .periodicity import (
     row_deviates,
 )
 from .qstring import as_queried, bytes_match, ledger_snapshot
-from .sampled import geometric_gap, sampling_rate
+from .sampled import check_parameters, geometric_gap, sampling_rate
 # is_potent is called by advance_row, not here; it stays bound in this module
 # because profiling harnesses rebind the tester's names by module attribute.
 from .scan import CostArray, advance_row, is_potent  # noqa: F401
@@ -63,12 +63,9 @@ class TesterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("t must be at least 1")
+        check_parameters(self.t, self.c_s)
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
-        if self.c_s <= 0:
-            raise ValueError("sampling constant must be positive")
 
 
 @dataclass
@@ -140,7 +137,7 @@ def contiguous_round(state: ModeState, x, y) -> None:
     """
     i = state.i
     stats = state.stats
-    nxt, charged = advance_row(state.costs, state.diagonals, i, x, y)
+    nxt, charged = advance_row(state.costs, state.diagonals, i, x, y, 0)
     stats.events.extend((i, d, SUBSTITUTION) for d in charged)
     state.diagonals = nxt
     _update_representative(state, i + 1)

@@ -9,6 +9,12 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
+import gaped.scan
+from gaped.qstring import as_queried
+from gaped.scan import CostArray, advance_row
+
 
 def ref_edit_distance(x: bytes, y: bytes) -> int:
     prev = list(range(len(y) + 1))
@@ -43,6 +49,66 @@ def mutate(rng: random.Random, x: bytes, k: int, alpha: bytes = b"abcd") -> byte
 
 def random_bytes(rng: random.Random, n: int, alpha: bytes = b"abcd") -> bytes:
     return bytes(rng.choices(alpha, k=n))
+
+
+@st.composite
+def periodic_pairs(draw, max_g=3, max_sigma=3, max_edits=8):
+    """A g-periodic x over sigma letters, y = x after a few edits, maybe swapped."""
+    letters = b"abcd"[:max_sigma]
+    g = draw(st.integers(min_value=1, max_value=max_g))
+    sigma = draw(st.integers(min_value=1, max_value=max_sigma))
+    base = draw(st.lists(st.sampled_from(letters[:sigma]), min_size=g, max_size=g))
+    n = draw(st.integers(min_value=0, max_value=600))
+    x = bytes(base) * (n // g) + bytes(base[: n % g])
+    rng = random.Random(draw(st.integers(min_value=0, max_value=1 << 30)))
+    y = mutate(rng, x, draw(st.integers(min_value=0, max_value=max_edits)), letters)
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+def traced_scan(x, y, t):
+    """The unpruned scan observed row by row: (cost, rows, snapshots).
+
+    Drives scan.advance_row with prune=False: only the unpruned scan keeps
+    the active sets equal to the true potent sets on far inputs.  rows
+    holds (i, diagonals kept as potent at row i); snapshots holds
+    (i, d, counters indexed -t..t once diagonal d of row i is processed).
+    A diagonal is processed when the next potency test starts or the row
+    returns, so gaped.scan.is_potent is wrapped to take each snapshot then.
+    cost is the finishing diagonal's counter, or None past t.
+    """
+    x, y = as_queried(x), as_queried(y)
+    d_end = len(y) - len(x)
+    rows, snapshots = [], []
+    if abs(d_end) > t:
+        return None, rows, snapshots
+    costs = CostArray(t)
+    pending = []
+
+    def take_snapshot():
+        if pending:
+            i, d = pending.pop()
+            snapshots.append((i, d, tuple(costs.a)))
+
+    is_potent = gaped.scan.is_potent
+
+    def observed(c, i, d, qx, qy):
+        take_snapshot()
+        pending.append((i, d))
+        return is_potent(c, i, d, qx, qy)
+
+    gaped.scan.is_potent = observed
+    try:
+        active = [0]
+        for i in range(len(x)):
+            active, _ = advance_row(costs, active, i, x, y, d_end, prune=False)
+            take_snapshot()
+            rows.append((i, tuple(d for d in active if costs.was_potent(d, i))))
+            if not active:
+                break
+    finally:
+        gaped.scan.is_potent = is_potent
+    cost = costs.cost(d_end)
+    return (cost if cost <= t else None), rows, snapshots
 
 
 class Boom:

@@ -11,7 +11,7 @@ import math
 import random
 import time
 
-from conftest import mutate, random_bytes, ref_banded_costs
+from conftest import mutate, random_bytes, ref_banded_costs, traced_scan
 from gaped.generators import (
     gen_block_shift,
     gen_certified_far,
@@ -27,7 +27,7 @@ from gaped.oracle import (
 from gaped.periodicity import mismatched_diagonals
 from gaped.qstring import QueriedString
 from gaped.sampled import run_sampled_tester
-from gaped.scan import ScanTrace, selective_scan
+from gaped.scan import selective_scan
 from gaped.tester import TesterConfig, run
 
 INF = 1 << 28
@@ -178,13 +178,12 @@ def test_criterion_03_scan_bookkeeping():
         x = random_bytes(rng, n, alpha)
         y = mutate(rng, x, rng.randint(0, t), alpha)
         assert abs(len(y) - len(x)) <= t
-        trace = ScanTrace()
-        selective_scan(x, y, t, prune=False, trace=trace)
+        _, rows, snapshots = traced_scan(x, y, t)
         potent = banded_potent_table(x, y, t)
         costs = ref_banded_costs(x, y, t)
         # (a) active sets match the brute-force potent sets row by row
         seen = set()
-        for i, kept in trace.rows:
+        for i, kept in rows:
             assert set(kept) == potent[i], (i, x, y, t)
             seen.add(i)
             kept_rows += 1
@@ -203,7 +202,7 @@ def test_criterion_03_scan_bookkeeping():
                     assert costs[i + 1][k] == costs[i][k], (i, d)
                     frozen_cells += 1
         # (c) mid-scan counters split between this row and the next
-        for i, d, vals in trace.snapshots:
+        for i, d, vals in snapshots:
             for k, v in enumerate(vals):
                 dp = k - t
                 if dp <= d and i + 1 + dp >= 0:
@@ -217,6 +216,9 @@ def test_criterion_03_scan_bookkeeping():
     _announce(3, ok, f"{instances} instances: {kept_rows} potent rows, "
                      f"{frozen_cells} frozen cells, {snapshot_cells} "
                      f"snapshot cells verified", elapsed)
+    # (a)-(c) pass vacuously for rows or snapshots the observer misses, so
+    # pin the counts of the fixed seed
+    assert (kept_rows, frozen_cells, snapshot_cells) == (16386, 97174, 136625)
     assert elapsed < 30
 
 

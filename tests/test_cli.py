@@ -138,12 +138,14 @@ def test_run_explicit_seed_beats_the_environment(pair, monkeypatch):
     assert json.loads(out)["seed"] == 7
 
 
-def test_run_missing_input_exits_3(tmp_path, pair):
+def test_run_missing_input_exits_3(tmp_path, pair, capsys):
     xp, _ = pair
     code, _ = run_cli(
         ["run", "--algo", "oracle", "--x", xp, "--y", str(tmp_path / "nope"), "-t", "4"]
     )
     assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gaped: cannot read input: ")
 
 
 def test_run_fasta_strips_headers(tmp_path):

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutate, random_bytes, ref_banded_costs, ref_edit_distance
+from conftest import (
+    mutate,
+    periodic_pairs,
+    random_bytes,
+    ref_banded_costs,
+    ref_edit_distance,
+)
 import gaped.oracle
 from gaped.alignment import validate_alignment
 from gaped.oracle import (
@@ -69,19 +75,6 @@ def test_banded_none_is_a_certificate():
     for band in range(8):
         assert banded_edit_distance(x, y, band) is None
     assert banded_edit_distance(x, y, 8) == 8
-
-
-@st.composite
-def periodic_pairs(draw):
-    """A g-periodic x over sigma letters, y = x after a few edits, maybe swapped."""
-    g = draw(st.integers(min_value=1, max_value=3))
-    sigma = draw(st.integers(min_value=1, max_value=3))
-    base = draw(st.lists(st.sampled_from(b"abc"[:sigma]), min_size=g, max_size=g))
-    n = draw(st.integers(min_value=0, max_value=600))
-    x = bytes(base) * (n // g) + bytes(base[: n % g])
-    rng = random.Random(draw(st.integers(min_value=0, max_value=1 << 30)))
-    y = mutate(rng, x, draw(st.integers(min_value=0, max_value=8)), b"abc")
-    return (y, x) if draw(st.booleans()) else (x, y)
 
 
 @given(pair=periodic_pairs(), band=st.integers(min_value=0, max_value=40))

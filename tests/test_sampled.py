@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import Boom, mutate, random_bytes, ref_edit_distance
@@ -78,8 +79,9 @@ def test_sample_rows_rng_consumption_is_pinned():
 
 
 def test_sample_rows_rejects_bad_threshold():
-    with pytest.raises(ValueError):
-        sample_rows(100, 0, 3.0, random.Random(0))
+    for t, c_s in ((0, 3.0), (2.5, 3.0), (4, float("nan")), (4, 0.0)):
+        with pytest.raises(ValueError):
+            sample_rows(100, t, c_s, random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +202,16 @@ def test_bad_parameters_raise_whatever_the_lengths():
         (b"", b"", 4, -1.0),
         (b"abcdefgh", b"a", 4, -1.0),
         (b"abcd", b"abcd", 4, 0.0),
+        (b"abcd", b"abcd", 4, float("nan")),
+        (b"abcdefgh", b"a", 4, float("nan")),
+        (b"abcdefgh", b"a", 2.5, 3.0),
+        (b"abcd", b"abcd", 4.0, 3.0),
     ):
         with pytest.raises(ValueError):
             run_sampled_tester(QueriedString(x), QueriedString(y), t, c_s,
                                random.Random(0))
+    assert run_sampled_tester(b"abcd", b"abcd", np.int64(4), 3.0,
+                              random.Random(0)).is_close
 
 
 def test_low_rate_reads_sublinearly_many_x_positions():

@@ -5,10 +5,17 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutate, random_bytes, ref_banded_costs, ref_edit_distance
-from gaped.oracle import banded_potent_table
+from conftest import (
+    mutate,
+    periodic_pairs,
+    random_bytes,
+    ref_banded_costs,
+    ref_edit_distance,
+    traced_scan,
+)
+from gaped.oracle import banded_edit_distance, banded_potent_table
 from gaped.qstring import QueriedString
-from gaped.scan import CostArray, ScanTrace, selective_scan
+from gaped.scan import CostArray, selective_scan
 
 INF = 1 << 28
 
@@ -53,7 +60,20 @@ def test_unpruned_scan_agrees_with_pruned():
         x = random_bytes(rng, n)
         y = mutate(rng, x, rng.randrange(0, 10))
         t = rng.choice((2, 4))
-        assert selective_scan(x, y, t) == selective_scan(x, y, t, prune=False)
+        assert selective_scan(x, y, t) == traced_scan(x, y, t)[0]
+
+
+@given(pair=periodic_pairs(max_g=6, max_sigma=4, max_edits=12),
+       t=st.integers(min_value=1, max_value=16))
+@settings(max_examples=300, deadline=None)
+def test_scan_matches_banded_oracle_on_near_periodic_pairs(pair, t):
+    # Long matching runs keep many diagonals potent at once, which the
+    # random-string fuzz above rarely reaches.
+    x, y = pair
+    qx, qy = QueriedString(x), QueriedString(y)
+    assert selective_scan(qx, qy, t) == banded_edit_distance(x, y, t)
+    for q in (qx, qy):
+        assert q.distinct <= min(q.total, len(q))
 
 
 def test_scan_reads_each_position_of_x_at_most_dozens_of_times():
@@ -70,12 +90,6 @@ def test_scan_reads_each_position_of_x_at_most_dozens_of_times():
 # potency bookkeeping against brute force
 
 
-def _trace_scan(x, y, t):
-    trace = ScanTrace()
-    selective_scan(x, y, t, prune=False, trace=trace)
-    return trace
-
-
 def test_active_sets_equal_brute_force_potent_sets():
     rng = random.Random(7)
     for _ in range(30):
@@ -83,10 +97,10 @@ def test_active_sets_equal_brute_force_potent_sets():
         x = random_bytes(rng, n, b"abc")
         y = mutate(rng, x, rng.randrange(0, 8), b"abc")
         t = rng.choice((2, 3, 4))
-        trace = _trace_scan(x, y, t)
+        _, rows, _ = traced_scan(x, y, t)
         table = banded_potent_table(x, y, t)
         seen = set()
-        for i, kept in trace.rows:
+        for i, kept in rows:
             assert set(kept) == table[i], (i, x, y, t)
             seen.add(i)
         if abs(len(y) - len(x)) > t:
@@ -106,9 +120,9 @@ def test_mid_scan_counters_follow_the_row_split():
         x = random_bytes(rng, n, b"ab")
         y = mutate(rng, x, rng.randrange(0, 6), b"ab")
         t = 3
-        trace = _trace_scan(x, y, t)
+        _, _, snapshots = traced_scan(x, y, t)
         costs = ref_banded_costs(x, y, t)
-        for i, d, vals in trace.snapshots:
+        for i, d, vals in snapshots:
             for k, v in enumerate(vals):
                 dp = k - t
                 if dp <= d and i + 1 + dp >= 0:

@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from conftest import mutate, random_bytes
@@ -36,6 +37,14 @@ def test_config_validation():
         TesterConfig(t=4, epsilon=-0.1)
     with pytest.raises(ValueError):
         TesterConfig(t=4, c_s=0.0)
+    # NaN would otherwise run at rate min(1, nan) = 1, and a fractional t
+    # would reach the counters as a float
+    with pytest.raises(ValueError):
+        TesterConfig(t=4, c_s=float("nan"))
+    for t in (2.5, 4.0):
+        with pytest.raises(ValueError):
+            TesterConfig(t=t)
+    assert TesterConfig(t=np.int64(4)).t == 4
 
 
 def test_small_threshold_relative_to_n_warns():
