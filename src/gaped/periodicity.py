@@ -54,10 +54,6 @@ class PeriodState:
         return cls(i_pat=i_pat, g=g, p=bytes(p), d_max=diagonals[-1],
                    m=diagonals[-1] - diagonals[0])
 
-    def slot(self, k: int) -> int:
-        """Pattern byte expected at row k."""
-        return self.p[(k - self.i_pat) % self.g]
-
 
 def row_deviates(x, y, state: PeriodState, k: int) -> bool:
     """Does row k break the pattern on x or on y along d_max?
@@ -67,7 +63,7 @@ def row_deviates(x, y, state: PeriodState, k: int) -> bool:
     by the contiguous scan's out-of-range mismatches, not reported as
     pattern breaks.
     """
-    c = state.slot(k)
+    c = state.p[(k - state.i_pat) % state.g]
     cx = x.read(k)
     if cx is not None and cx != c:
         return True

@@ -49,7 +49,7 @@ class QueriedString:
     ledger.
     """
 
-    __slots__ = ("data", "_seen", "distinct", "total")
+    __slots__ = ("data", "_n", "_seen", "distinct", "total")
 
     def __init__(self, data: bytes | bytearray | memoryview | str):
         if isinstance(data, str):
@@ -62,18 +62,20 @@ class QueriedString:
             raise TypeError("a string must be bytes, bytearray, memoryview or str, "
                             f"got {type(data).__name__}")
         self.data = bytes(data)
-        self._seen = bytearray(len(self.data))
+        self._n = len(self.data)
+        self._seen = bytearray(self._n)
         self.distinct = 0
         self.total = 0
 
     def __len__(self) -> int:
-        return len(self.data)
+        return self._n
 
     def read(self, i: int) -> int | None:
-        if 0 <= i < len(self.data):
+        if 0 <= i < self._n:
             self.total += 1
-            if not self._seen[i]:
-                self._seen[i] = 1
+            seen = self._seen
+            if not seen[i]:
+                seen[i] = 1
                 self.distinct += 1
             return self.data[i]
         return None
@@ -84,7 +86,7 @@ class QueriedString:
         The exact oracles look at everything by nature; routing them through
         this keeps their ledgers honest.
         """
-        n = len(self.data)
+        n = self._n
         self.total += n
         self._seen = bytearray(b"\x01") * n if n else bytearray()
         self.distinct = n

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .qstring import as_queried, bytes_match, ledger_snapshot
@@ -36,19 +37,43 @@ def check_parameters(t, c_s) -> None:
         raise ValueError(f"sampling constant must be positive, got {c_s!r}")
 
 
+def _one() -> int:
+    return 1
+
+
+def gap_sampler(rate: float, rng) -> Callable[[], int]:
+    """A zero-argument draw of geometric_gap(rate, rng), set up once.
+
+    log(1 - rate) and rng.random are bound when the sampler is built, so
+    each draw is one rng call and one log.  Draws equal geometric_gap's
+    draw for draw and leave rng in the same state.  rate >= 1 gives a
+    draw that returns 1 without consuming randomness; a rate too small to
+    move 1 - rate off 1.0 (rate <= 0 and NaN included) is a ValueError
+    here, before any draw.
+    """
+    if rate >= 1.0:
+        return _one
+    if not 1.0 - rate < 1.0:  # rate <= 0, NaN, or so small that log(1 - rate) is 0
+        raise ValueError(f"sampling rate {rate!r} must be positive with 1 - rate < 1")
+    log = math.log
+    log_q = log(1.0 - rate)
+    random = rng.random
+
+    def draw() -> int:
+        return 1 + int(log(1.0 - random()) / log_q)
+
+    return draw
+
+
 def geometric_gap(rate: float, rng) -> int:
     """Distance to the next kept row when each row is kept w.p. rate.
 
     Returns k with probability rate * (1-rate)^(k-1), k >= 1; rate >= 1
     returns 1 without consuming randomness, and a rate too small to move
-    1 - rate off 1.0 (rate <= 0 included) is a ValueError.
+    1 - rate off 1.0 (rate <= 0 and NaN included) is a ValueError.  The
+    one-shot form of gap_sampler, for callers that draw once per setting.
     """
-    if rate >= 1.0:
-        return 1
-    if 1.0 - rate >= 1.0:  # rate <= 0, or so small that log(1 - rate) is 0
-        raise ValueError(f"sampling rate {rate!r} must be positive with 1 - rate < 1")
-    u = rng.random()
-    return 1 + int(math.log(1.0 - u) / math.log(1.0 - rate))
+    return gap_sampler(rate, rng)()
 
 
 def sampling_rate(n: int, t: int, c_s: float, epsilon: float = 0.0) -> float:
@@ -69,11 +94,11 @@ def sample_rows(n: int, t: int, c_s: float, rng) -> list[int]:
     the sample size rather than n.
     """
     check_parameters(t, c_s)
-    p = sampling_rate(n, t, c_s)
+    draw = gap_sampler(sampling_rate(n, t, c_s), rng)
     rows = [0]
     r = 0
     while True:
-        r += geometric_gap(p, rng)
+        r += draw()
         if r > n:
             return rows
         rows.append(r)

@@ -101,15 +101,14 @@ def advance_row(
     x: QueriedString,
     y: QueriedString,
     d_end: int,
-    prune: bool = True,
 ) -> tuple[list[int], list[int]]:
     """Row i of the potency rule, for the scan and the tester alike.
 
-    Visits the sorted active diagonals in ascending order, skipping (with
-    prune) those whose counter exceeds t - |d - d_end|.  A potent diagonal
-    survives; on a mismatch it is charged and spreads to d-1 on the next
-    row and to d+1 on this one, carried as the next diagonal to visit.
-    Returns (next_active, charged), both sorted.
+    Visits the sorted active diagonals in ascending order, skipping those
+    whose counter exceeds t - |d - d_end|.  A potent diagonal survives;
+    on a mismatch it is charged and spreads to d-1 on the next row and to
+    d+1 on this one, carried as the next diagonal to visit.  Returns
+    (next_active, charged), both sorted.
     """
     t = costs.t
     nxt: list[int] = []
@@ -126,7 +125,7 @@ def advance_row(
             d, carry = carry, None
             if k < size and active[k] == d:
                 k += 1
-        if prune and costs.cost(d) > t - abs(d - d_end):
+        if costs.cost(d) > t - abs(d - d_end):
             continue
         if not is_potent(costs, i, d, x, y):
             continue

@@ -26,6 +26,7 @@ import enum
 import math
 import random
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .alignment import DIAG_DOWN, DIAG_UP, SUBSTITUTION, SuccinctAlignment
@@ -37,7 +38,7 @@ from .periodicity import (
     row_deviates,
 )
 from .qstring import as_queried, bytes_match, ledger_snapshot
-from .sampled import check_parameters, geometric_gap, sampling_rate
+from .sampled import check_parameters, gap_sampler, geometric_gap, sampling_rate
 # is_potent is called by advance_row, not here; it stays bound in this module
 # because profiling harnesses rebind the tester's names by module attribute.
 from .scan import CostArray, advance_row, is_potent  # noqa: F401
@@ -93,6 +94,7 @@ class ModeState:
     quiet_rows: int
     rate: float
     rng_rows: random.Random
+    draw_gap: Callable[[], int]
     rng_probe: random.Random
     stats: RunStats
     rep_d: int = 0
@@ -118,6 +120,7 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
         quiet_rows=0,
         rate=rate,
         rng_rows=rng_rows,
+        draw_gap=gap_sampler(rate, rng_rows),
         rng_probe=rng_probe,
         stats=RunStats(),
     )
@@ -161,33 +164,34 @@ def contiguous_round(state: ModeState, x, y) -> None:
         state.i = state.i - 1 + geometric_gap(state.rate, state.rng_rows)
 
 
-def sampling_round(state: ModeState, x, y) -> None:
-    """Process one sampled row.
+def sampling_round(state: ModeState, x, y) -> bool:
+    """Process one sampled row; True if it failed and changed the state.
 
     With a captured period (several active diagonals), verify the period
     pattern at this row (x directly, y along the highest diagonal); with
     one diagonal, compare the shifted characters.  A pass hops to the next
-    sampled row.  A failure charges the lone diagonal, or, with a period,
-    pins down the transition row by binary search, charges every diagonal
-    with a direct mismatch in the transition window and probes the
-    uncharged survivors on an independent sample stream.  The charged
-    diagonals spread to their neighbours and the tester drops back to
-    contiguous mode on the next row.
+    sampled row, drawn from state.draw_gap, and returns False: it changes
+    no cost counter and no diagonal.  A failure charges the lone diagonal,
+    or, with a period, pins down the transition row by binary search,
+    charges every diagonal with a direct mismatch in the transition window
+    and probes the uncharged survivors on an independent sample stream.
+    The charged diagonals spread to their neighbours, the tester drops
+    back to contiguous mode on the next row, and the round returns True.
     """
-    costs = state.costs
-    t = costs.t
-    stats = state.stats
-    diags = state.diagonals
     period = state.period
     rs = state.i
+    stats = state.stats
     stats.sampled_rows += 1
     if period is None:
-        passed = bytes_match(x.read(rs), y.read(rs + diags[0]))
+        passed = bytes_match(x.read(rs), y.read(rs + state.diagonals[0]))
     else:
         passed = not row_deviates(x, y, period, rs)
     if passed:
-        state.i = rs + geometric_gap(state.rate, state.rng_rows)
-        return
+        state.i = rs + state.draw_gap()
+        return False
+    costs = state.costs
+    t = costs.t
+    diags = state.diagonals
     if period is None:
         charged = {diags[0]}
     else:
@@ -212,6 +216,7 @@ def sampling_round(state: ModeState, x, y) -> None:
     stats.mode_transitions += 1
     state.quiet_rows = 0
     state.i = rs + 1
+    return True
 
 
 def _move_representative(state: ModeState, new: int, row: int) -> None:
@@ -265,11 +270,12 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
     state = initial_state(x, y, cfg)
     stats = state.stats
     answer = Answer.CLOSE
+    contiguous = Mode.CONTIGUOUS  # bound once: an enum member lookup is slow per row
     while state.i < n:
-        if state.mode is Mode.CONTIGUOUS:
+        if state.mode is contiguous:
             contiguous_round(state, x, y)
-        else:
-            sampling_round(state, x, y)
+        elif not sampling_round(state, x, y):
+            continue  # a passing row changes no cost and no diagonal
         if state.costs.cost(0) > t or not state.diagonals:
             answer = Answer.FAR
             break

@@ -65,12 +65,26 @@ def periodic_pairs(draw, max_g=3, max_sigma=3, max_edits=8):
     return (y, x) if draw(st.booleans()) else (x, y)
 
 
+class _Unpruned(CostArray):
+    """Counters whose cost() lies below every threshold advance_row prunes at.
+
+    advance_row reads cost() only to skip a diagonal whose counter exceeds
+    t - |d - d_end|, which is at least -t inside the band; the potency rule
+    reads the true counters through cost_at_row.
+    """
+
+    __slots__ = ()
+
+    def cost(self, d: int) -> int:
+        return -self.t - 1
+
+
 def traced_scan(x, y, t):
     """The unpruned scan observed row by row: (cost, rows, snapshots).
 
-    Drives scan.advance_row with prune=False: only the unpruned scan keeps
-    the active sets equal to the true potent sets on far inputs.  rows
-    holds (i, diagonals kept as potent at row i); snapshots holds
+    Drives scan.advance_row on counters it never prunes: only the unpruned
+    scan keeps the active sets equal to the true potent sets on far inputs.
+    rows holds (i, diagonals kept as potent at row i); snapshots holds
     (i, d, counters indexed -t..t once diagonal d of row i is processed).
     A diagonal is processed when the next potency test starts or the row
     returns, so gaped.scan.is_potent is wrapped to take each snapshot then.
@@ -81,7 +95,7 @@ def traced_scan(x, y, t):
     rows, snapshots = [], []
     if abs(d_end) > t:
         return None, rows, snapshots
-    costs = CostArray(t)
+    costs = _Unpruned(t)
     pending = []
 
     def take_snapshot():
@@ -100,14 +114,14 @@ def traced_scan(x, y, t):
     try:
         active = [0]
         for i in range(len(x)):
-            active, _ = advance_row(costs, active, i, x, y, d_end, prune=False)
+            active, _ = advance_row(costs, active, i, x, y, d_end)
             take_snapshot()
             rows.append((i, tuple(d for d in active if costs.was_potent(d, i))))
             if not active:
                 break
     finally:
         gaped.scan.is_potent = is_potent
-    cost = costs.cost(d_end)
+    cost = costs.a[d_end + t]
     return (cost if cost <= t else None), rows, snapshots
 
 

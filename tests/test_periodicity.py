@@ -46,7 +46,7 @@ def test_capture_reads_the_trailing_pattern():
     assert st.d_max == 2
     # slots continue the tiling in both directions
     for k in (4, 19, 20, 22, 35):
-        assert st.slot(k) == x[k]
+        assert st.p[(k - st.i_pat) % st.g] == x[k]
 
 
 def test_capture_rejects_windows_off_the_string():

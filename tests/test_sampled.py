@@ -5,12 +5,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Boom, mutate, random_bytes, ref_edit_distance
 from gaped.generators import gen_random_edits
 from gaped.qstring import QueriedString
 from gaped.sampled import (
     SampledGrid,
+    gap_sampler,
     geometric_gap,
     run_sampled_tester,
     sample_rows,
@@ -35,6 +38,38 @@ def test_geometric_gap_rejects_nonpositive_rate():
     # positive, but log(1 - rate) rounds to 0.0
     with pytest.raises(ValueError):
         geometric_gap(1e-20, random.Random(0))
+
+
+@given(rate=st.one_of(st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
+                      st.floats(min_value=1.0, max_value=1e6)),
+       seed=st.integers(min_value=0, max_value=2**32),
+       draws=st.integers(min_value=0, max_value=2000))
+@settings(max_examples=150, deadline=None)
+def test_gap_sampler_equals_geometric_gap_draw_for_draw(rate, seed, draws):
+    one_shot, hoisted, plain = (random.Random(seed) for _ in range(3))
+    draw = gap_sampler(rate, hoisted)
+    got = [draw() for _ in range(draws)]
+    assert got == [geometric_gap(rate, one_shot) for _ in range(draws)]
+    assert hoisted.getstate() == one_shot.getstate()
+    # the inverse-transform draw written out, independent of both forms
+    if rate < 1.0:
+        expected = [1 + int(math.log(1.0 - plain.random()) / math.log(1.0 - rate))
+                    for _ in range(draws)]
+    else:
+        expected = [1] * draws
+    assert got == expected
+    assert hoisted.getstate() == plain.getstate()
+
+
+def test_gap_sampler_rate_one_consumes_nothing_and_bad_rates_fail_at_build():
+    for rate in (1.0, 2.5):
+        draw = gap_sampler(rate, Boom())
+        assert [draw() for _ in range(5)] == [1] * 5
+    for rate in (0.0, -0.5, 1e-20, float("nan")):
+        with pytest.raises(ValueError):
+            gap_sampler(rate, Boom())
+        with pytest.raises(ValueError):
+            geometric_gap(rate, Boom())
 
 
 def test_geometric_gap_mean_matches_rate():

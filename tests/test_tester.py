@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import gaped.tester
 from conftest import mutate, random_bytes
 from gaped.alignment import SUBSTITUTION, validate_alignment
 from gaped.generators import gen_independent_random, gen_periodic_splice, gen_random_edits
@@ -196,6 +197,34 @@ def test_run_ledgers_are_pinned():
         qx, qy = QueriedString(x), QueriedString(y)
         got = selective_scan(qx, qy, t)
         assert (got, qx.distinct, qy.distinct, qx.total + qy.total) == pinned
+
+
+def test_one_round_call_per_counted_row(monkeypatch):
+    # A traced benchmark run reads one sampling_round span per sampled row
+    # and one contiguous_round span per contiguous row; a loop that handled
+    # several rows in one call would break that silently.
+    calls = {"sampling_round": 0, "contiguous_round": 0}
+    for name in calls:
+        inner = getattr(gaped.tester, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(gaped.tester, name, counted)
+    cases = [
+        (gen_periodic_splice(4096, 2, 5, seed=1, sigma=8), dict(t=16, c_s=1.0, seed=3)),
+        (gen_random_edits(1 << 14, 32, seed=5), dict(t=64, epsilon=0.5, c_s=0.5, seed=7)),
+        (gen_random_edits(4096, 3, seed=11), dict(t=8, seed=2)),  # rate 1
+        (gen_independent_random(4096, seed=3, sigma=8), dict(t=4, seed=1)),  # far
+    ]
+    for (x, y), kw in cases:
+        for name in calls:
+            calls[name] = 0
+        s = _run(x, y, **kw).stats
+        assert s.sampled_rows > 0, kw
+        assert calls == {"sampling_round": s.sampled_rows,
+                         "contiguous_round": s.contiguous_rows}, kw
 
 
 # ---------------------------------------------------------------------------
