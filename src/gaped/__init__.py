@@ -27,7 +27,7 @@ from .periodicity import PeriodState, PeriodTransitionError, find_period_transit
 from .qstring import QueriedString, QueryLedger, as_queried
 from .sampled import run_sampled_tester, sample_rows
 from .scan import selective_scan
-from .tester import Mode, RunStats, TesterConfig, run
+from .tester import RunStats, TesterConfig, run
 from .verdict import Answer, Verdict
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "Answer",
     "InstanceSpec",
     "MalformedAlignment",
-    "Mode",
     "PeriodState",
     "PeriodTransitionError",
     "QueriedString",

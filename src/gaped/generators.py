@@ -133,28 +133,21 @@ def gen_periodic_splice(
     half = g // 2
     starts = [(j + 1) * spacing for j in range(events)]
     base = bytes(rng.choices(alpha, k=g))
+    # With y_only only the opener switches both strings; every later start
+    # is a g-long excursion of y to a pattern foreign to the last one.
+    excursions = starts[1:] if y_only else []
+    switches = starts[:1] if y_only else starts
     x_out = bytearray(n)
     y_out = bytearray(n)
-    if not y_only:
-        pats = [base]
-        for _ in starts:
-            pats.append(_next_pattern(rng, alpha, pats[-1]))
-        for out, shift in ((x_out, 0), (y_out, half)):
-            bounds = [0] + [s + shift for s in starts] + [n]
-            for k in range(len(bounds) - 1):
-                _tile(out, bounds[k], bounds[k + 1], pats[k])
-    else:
-        after = _next_pattern(rng, alpha, base) if starts else base
-        _tile(x_out, 0, min(starts[0], n) if starts else n, base)
-        if starts:
-            _tile(x_out, starts[0], n, after)
-            _tile(y_out, 0, starts[0] + half, base)
-            _tile(y_out, starts[0] + half, n, after)
-            for s in starts[1:]:
-                exc = _next_pattern(rng, alpha, after)
-                _tile(y_out, s, min(s + g, n), exc)
-        else:
-            _tile(y_out, 0, n, base)
+    pats = [base]
+    for _ in switches:
+        pats.append(_next_pattern(rng, alpha, pats[-1]))
+    for out, shift in ((x_out, 0), (y_out, half)):
+        bounds = [0] + [s + shift for s in switches] + [n]
+        for k in range(len(bounds) - 1):
+            _tile(out, bounds[k], bounds[k + 1], pats[k])
+    for s in excursions:
+        _tile(y_out, s, s + g, _next_pattern(rng, alpha, pats[-1]))
     return bytes(x_out), bytes(y_out)
 
 
@@ -218,7 +211,6 @@ def gen_certified_far(
     *,
     far_factor: float = 13.0,
     exponent: float = 2.0,
-    sigma: int = 4,
     max_tries: int = 32,
 ) -> tuple[bytes, bytes, int]:
     """Independent-random pair certified beyond far_factor * t**exponent.
@@ -229,7 +221,7 @@ def gen_certified_far(
     """
     threshold = int(far_factor * t ** exponent)
     for attempt in range(max_tries):
-        x, y = gen_independent_random(n, seed + attempt, sigma=sigma)
+        x, y = gen_independent_random(n, seed + attempt)
         if certify_far(x, y, threshold):
             if attempt:
                 log.info("far instance certified after %d resample(s)", attempt)

@@ -1,12 +1,11 @@
 """Exact edit-distance oracles over the diagonal grid.
 
 Reference implementations with unrestricted queries: the full dynamic
-program, the diagonal-transition banded oracle, full and banded cost
-tables in (row, diagonal) coordinates, an optimal alignment with a fixed
-tie-break (as a ``SuccinctAlignment``, the format the testers certify in),
-and the brute-force potent-diagonal sets that the selective scan is checked
-against.  Each reads both strings in full through ``as_queried``, so a
-``QueriedString`` input's ledger shows every position read.
+program and its cost table, the diagonal-transition banded oracle, and an
+optimal alignment with a fixed tie-break (as a ``SuccinctAlignment``, the
+format the testers certify in).  Each reads both strings in full through
+``as_queried``, so a ``QueriedString`` input's ledger shows every position
+read.
 
 Coordinates are 0-based throughout.  Cell ``(i, d)`` holds the edit distance
 between the first ``i`` bytes of ``x`` and the first ``i + d`` bytes of
@@ -22,9 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import DIAG_DOWN, DIAG_UP, SUBSTITUTION, SuccinctAlignment
-from .qstring import as_queried, bytes_match
+from .qstring import as_queried
 
-INF = 1 << 28
 _UNREACHED = -(1 << 40)  # far[] of a diagonal no path has reached
 _GATHER = 4096  # elements per read-ahead gather of the banded slide
 
@@ -176,89 +174,3 @@ def optimal_alignment(x, y) -> SuccinctAlignment:
     segments.reverse()
     events.reverse()
     return SuccinctAlignment(segments=tuple(segments), events=tuple(events))
-
-
-# ---------------------------------------------------------------------------
-# Banded costs and potent sets under the scan's boundary semantics.
-
-
-def _mismatch(bx: bytes, by: bytes, r: int, d: int) -> bool:
-    """Does row r mismatch on diagonal d?  Reads past either end always do."""
-    a = bx[r] if 0 <= r < len(bx) else None
-    b = by[r + d] if 0 <= r + d < len(by) else None
-    return not bytes_match(a, b)
-
-
-def banded_cost_table(x, y, t: int) -> list[list[int]]:
-    """Costs of the band-restricted grid the selective scan walks.
-
-    Rows 0..|x|, diagonals -t..t (column d + t).  Cells with i + d < 0 do
-    not exist (INF).  Cells reaching past |y| exist with every comparison a
-    mismatch (out-of-range rule); they can never reach the sink, since i + d
-    never decreases along an edge.  Missing neighbors are skipped.
-    """
-    bx, by = as_queried(x).read_all(), as_queried(y).read_all()
-    nx = len(bx)
-    width = 2 * t + 1
-
-    rows = [[INF] * width for _ in range(nx + 1)]
-    for k in range(width):
-        d = k - t
-        if d >= 0:
-            rows[0][k] = d
-    for i in range(1, nx + 1):
-        prev = rows[i - 1]
-        cur = rows[i]
-        for k in range(width):
-            d = k - t
-            if i + d < 0:
-                continue
-            best = INF
-            if prev[k] < INF:
-                best = prev[k] + _mismatch(bx, by, i - 1, d)
-            if k + 1 < width and prev[k + 1] < INF:
-                best = min(best, prev[k + 1] + 1)
-            if k - 1 >= 0 and cur[k - 1] < INF:
-                best = min(best, cur[k - 1] + 1)
-            cur[k] = best
-    return rows
-
-
-def banded_potent_table(x, y, t: int) -> list[set[int]]:
-    """Potent diagonals of every row, by direct evaluation of the definition.
-
-    A cell (i, d) of cost h is dominated by its same-row left neighbor
-    (i, d-1) when that neighbor costs h - 1, and by its upper-right neighbor
-    (i-1, d+1) under the same condition; missing neighbors never dominate.
-    The cell is potent unless some dominating neighbor fails its
-    requirement: a left dominator must itself be potent at row i and have a
-    mismatch at row i + 1 (bytes x[i], y[i+d-1]); an upper-right dominator
-    must be potent at row i - 1 and have a mismatch at row i (bytes x[i-1],
-    y[i+d]).  An undominated cell is potent outright.
-    """
-    bx, by = as_queried(x).read_all(), as_queried(y).read_all()
-    nx = len(bx)
-    costs = banded_cost_table(bx, by, t)
-    width = 2 * t + 1
-
-    table: list[set[int]] = []
-    prev_potent: set[int] = set()
-    for i in range(nx + 1):
-        potent: set[int] = set()
-        row = costs[i]
-        up = costs[i - 1] if i > 0 else None
-        for k in range(width):
-            d = k - t
-            if i + d < 0 or row[k] >= INF:
-                continue
-            h = row[k]
-            ok = True
-            if k - 1 >= 0 and i + d - 1 >= 0 and row[k - 1] == h - 1:
-                ok = (d - 1) in potent and _mismatch(bx, by, i, d - 1)
-            if ok and up is not None and k + 1 < width and up[k + 1] == h - 1:
-                ok = (d + 1) in prev_potent and _mismatch(bx, by, i - 1, d + 1)
-            if ok:
-                potent.add(d)
-        table.append(potent)
-        prev_potent = potent
-    return table

@@ -22,7 +22,6 @@ mismatch everything, and a length difference beyond t is immediately far.
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 import warnings
@@ -43,11 +42,6 @@ from .sampled import check_parameters, gap_sampler, geometric_gap, sampling_rate
 # because profiling harnesses rebind the tester's names by module attribute.
 from .scan import CostArray, advance_row, is_potent  # noqa: F401
 from .verdict import Answer, Verdict
-
-
-class Mode(enum.Enum):
-    CONTIGUOUS = "contiguous"
-    SAMPLING = "sampling"
 
 
 @dataclass(frozen=True)
@@ -84,18 +78,21 @@ class RunStats:
 
 @dataclass
 class ModeState:
-    """Mutable state threaded through the per-row rounds."""
+    """Mutable state threaded through the per-row rounds.
 
-    mode: Mode
+    draw_gap draws the gap to the next sampled row, draw_probe_gap the gap
+    to the next probed row; each is the one sampler of its random stream.
+    """
+
+    sampling: bool
     i: int
     diagonals: list[int]
     costs: CostArray
     period: PeriodState | None
     quiet_rows: int
     rate: float
-    rng_rows: random.Random
     draw_gap: Callable[[], int]
-    rng_probe: random.Random
+    draw_probe_gap: Callable[[], int]
     stats: RunStats
     rep_d: int = 0
     seg_start: int = 0
@@ -111,17 +108,18 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
     n = max(len(x), len(y))
     rate = sampling_rate(n, cfg.t, cfg.c_s, cfg.epsilon)
     rng_rows, rng_probe = _split_streams(cfg.seed)
+    # The first draw is one-shot, so a harness that rebinds geometric_gap
+    # sees one call per run; draw_gap makes every later draw on rng_rows.
     return ModeState(
-        mode=Mode.SAMPLING,
+        sampling=True,
         i=geometric_gap(rate, rng_rows) - 1,
         diagonals=[0],
         costs=CostArray(cfg.t),
         period=None,
         quiet_rows=0,
         rate=rate,
-        rng_rows=rng_rows,
         draw_gap=gap_sampler(rate, rng_rows),
-        rng_probe=rng_probe,
+        draw_probe_gap=gap_sampler(rate, rng_probe),
         stats=RunStats(),
     )
 
@@ -159,9 +157,9 @@ def contiguous_round(state: ModeState, x, y) -> None:
             state.period = PeriodState.capture(x, nxt, i_pat)
         else:
             state.period = None
-        state.mode = Mode.SAMPLING
+        state.sampling = True
         stats.mode_transitions += 1
-        state.i = state.i - 1 + geometric_gap(state.rate, state.rng_rows)
+        state.i = state.i - 1 + state.draw_gap()
 
 
 def sampling_round(state: ModeState, x, y) -> bool:
@@ -200,7 +198,7 @@ def sampling_round(state: ModeState, x, y) -> bool:
         charged = mismatched_diagonals(x, y, j + 1, j + 1 + period.m, diags)
         uncharged = [d for d in diags if d not in charged]
         for d in uncharged:
-            if probe_diagonal(x, y, d, period.i_pat, rs, state.rate, state.rng_probe):
+            if probe_diagonal(x, y, d, period.i_pat, rs, state.draw_probe_gap):
                 charged.add(d)
     live = set(diags)
     for d in diags:
@@ -212,7 +210,7 @@ def sampling_round(state: ModeState, x, y) -> bool:
     # The active set only grows here, so the representative stays in it.
     state.diagonals = sorted(live)
     state.period = None
-    state.mode = Mode.CONTIGUOUS
+    state.sampling = False
     stats.mode_transitions += 1
     state.quiet_rows = 0
     state.i = rs + 1
@@ -270,9 +268,8 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
     state = initial_state(x, y, cfg)
     stats = state.stats
     answer = Answer.CLOSE
-    contiguous = Mode.CONTIGUOUS  # bound once: an enum member lookup is slow per row
     while state.i < n:
-        if state.mode is contiguous:
+        if not state.sampling:
             contiguous_round(state, x, y)
         elif not sampling_round(state, x, y):
             continue  # a passing row changes no cost and no diagonal

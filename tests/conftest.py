@@ -3,6 +3,8 @@
 ref_edit_distance is a deliberately plain O(nm) implementation kept
 independent of the package's vectorized oracles; the oracle tests check
 one against the other, and everything downstream trusts the oracle.
+ref_banded_costs and ref_potent_sets are the pure-Python references for
+the banded grid the selective scan walks.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 import gaped.scan
 from gaped.qstring import as_queried
 from gaped.scan import CostArray, advance_row
+
+INF = 1 << 28  # cost of a missing cell in the banded reference tables
 
 
 def ref_edit_distance(x: bytes, y: bytes) -> int:
@@ -133,17 +137,16 @@ class Boom:
 
 
 def ref_banded_costs(x: bytes, y: bytes, t: int) -> list[list[int]]:
-    """Band-restricted grid costs over y padded with unique sentinels.
+    """Costs of the band-restricted grid the selective scan walks.
 
-    Independent reference for the generalized grid the scan walks: rows
-    0..|x|, diagonals -t..t, positions past |y| hold fresh symbols that
-    mismatch everything, and paths may not leave the band.  Layout matches
-    banded_cost_table (column d + t, missing cells INF).
+    Rows 0..|x|, diagonals -t..t in column d + t; cells with i + d < 0 do
+    not exist and hold INF.  Positions past |y| hold fresh symbols that
+    mismatch everything, and paths may not leave the band.  Independent of
+    the scan's counters, so tests check those against this table.
     """
-    inf = 1 << 28
     ypad = list(y) + [-(k + 1) for k in range(len(x) + t)]
     width = 2 * t + 1
-    rows = [[inf] * width for _ in range(len(x) + 1)]
+    rows = [[INF] * width for _ in range(len(x) + 1)]
     for k in range(t, width):
         rows[0][k] = k - t
     for i in range(1, len(x) + 1):
@@ -152,13 +155,51 @@ def ref_banded_costs(x: bytes, y: bytes, t: int) -> list[list[int]]:
             d = k - t
             if i + d < 0:
                 continue
-            best = inf
-            if prev[k] < inf:
-                cx = x[i - 1] if i - 1 < len(x) else None
-                best = prev[k] + (0 if cx == ypad[i - 1 + d] else 1)
-            if k + 1 < width and prev[k + 1] < inf:
+            best = INF
+            if prev[k] < INF:
+                best = prev[k] + (0 if x[i - 1] == ypad[i - 1 + d] else 1)
+            if k + 1 < width and prev[k + 1] < INF:
                 best = min(best, prev[k + 1] + 1)
-            if k >= 1 and cur[k - 1] < inf:
+            if k >= 1 and cur[k - 1] < INF:
                 best = min(best, cur[k - 1] + 1)
             cur[k] = best
     return rows
+
+
+def ref_potent_sets(x: bytes, y: bytes, t: int) -> list[set[int]]:
+    """Potent diagonals of every row, by direct evaluation of the definition.
+
+    A cell (i, d) of cost h is dominated by its same-row left neighbor
+    (i, d-1) when that neighbor costs h - 1, and by its upper-right neighbor
+    (i-1, d+1) under the same condition; missing neighbors never dominate.
+    The cell is potent unless some dominating neighbor fails its
+    requirement: a left dominator must itself be potent at row i and have a
+    mismatch at row i + 1 (bytes x[i], y[i+d-1]); an upper-right dominator
+    must be potent at row i - 1 and have a mismatch at row i (bytes x[i-1],
+    y[i+d]).  An undominated cell is potent outright.
+    """
+
+    def mismatch(r, d):
+        # a read past either end mismatches everything
+        return not (0 <= r < len(x) and 0 <= r + d < len(y)) or x[r] != y[r + d]
+
+    costs = ref_banded_costs(x, y, t)
+    width = 2 * t + 1
+    table: list[set[int]] = []
+    prev_potent: set[int] = set()
+    for i, row in enumerate(costs):
+        potent: set[int] = set()
+        for k, h in enumerate(row):
+            if h >= INF:  # missing cells, i + d < 0 included, never dominate
+                continue
+            d = k - t
+            ok = True
+            if k >= 1 and row[k - 1] == h - 1:
+                ok = d - 1 in potent and mismatch(i, d - 1)
+            if ok and i > 0 and k + 1 < width and costs[i - 1][k + 1] == h - 1:
+                ok = d + 1 in prev_potent and mismatch(i - 1, d + 1)
+            if ok:
+                potent.add(d)
+        table.append(potent)
+        prev_potent = potent
+    return table

@@ -11,26 +11,26 @@ import math
 import random
 import time
 
-from conftest import mutate, random_bytes, ref_banded_costs, traced_scan
+from conftest import (
+    INF,
+    mutate,
+    random_bytes,
+    ref_banded_costs,
+    ref_potent_sets,
+    traced_scan,
+)
 from gaped.generators import (
     gen_block_shift,
     gen_certified_far,
     gen_periodic_splice,
     gen_random_edits,
 )
-from gaped.oracle import (
-    banded_edit_distance,
-    banded_potent_table,
-    edit_distance,
-    full_cost_table,
-)
+from gaped.oracle import banded_edit_distance, edit_distance, full_cost_table
 from gaped.periodicity import mismatched_diagonals
 from gaped.qstring import QueriedString
 from gaped.sampled import run_sampled_tester
 from gaped.scan import selective_scan
 from gaped.tester import TesterConfig, run
-
-INF = 1 << 28
 
 
 def _announce(num: int, ok: bool, detail: str, elapsed: float) -> None:
@@ -179,7 +179,7 @@ def test_criterion_03_scan_bookkeeping():
         y = mutate(rng, x, rng.randint(0, t), alpha)
         assert abs(len(y) - len(x)) <= t
         _, rows, snapshots = traced_scan(x, y, t)
-        potent = banded_potent_table(x, y, t)
+        potent = ref_potent_sets(x, y, t)
         costs = ref_banded_costs(x, y, t)
         # (a) active sets match the brute-force potent sets row by row
         seen = set()

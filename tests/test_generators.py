@@ -102,8 +102,8 @@ def test_periodic_splice_validates_parameters():
 
 
 def test_periodic_splice_no_transitions_is_a_perfect_tiling():
-    for n in (1024, 10):
-        x, y = gen_periodic_splice(n, 4, 0, seed=2)
+    for n, y_only in ((1024, False), (10, False), (1024, True)):
+        x, y = gen_periodic_splice(n, 4, 0, seed=2, y_only=y_only)
         assert len(x) == n
         assert x == y
         assert x[4:] == x[:-4]

@@ -15,6 +15,7 @@ from gaped.periodicity import (
     row_deviates,
 )
 from gaped.qstring import QueriedString
+from gaped.sampled import gap_sampler
 
 
 def _periodic(pattern: bytes, n: int) -> bytes:
@@ -186,16 +187,16 @@ def test_probe_diagonal_rate_one_is_exhaustive():
     x = bytearray(_periodic(b"ab", 60))
     y = bytes(x)
     rng = Boom()
-    assert not probe_diagonal(q(x), q(y), 0, 10, 50, 1.0, rng)
+    assert not probe_diagonal(q(x), q(y), 0, 10, 50, gap_sampler(1.0, rng))
     x[37] = ord("z")
-    assert probe_diagonal(q(x), q(y), 0, 10, 50, 1.0, rng)
+    assert probe_diagonal(q(x), q(y), 0, 10, 50, gap_sampler(1.0, rng))
 
 
 def test_probe_diagonal_skips_out_of_range_rows():
     x = _periodic(b"ab", 30)
     rng = random.Random(0)
     # offset diagonal walks off y; those rows are unreadable, not mismatches
-    assert not probe_diagonal(q(x), q(x[:20]), 6, 10, 29, 1.0, rng)
+    assert not probe_diagonal(q(x), q(x[:20]), 6, 10, 29, gap_sampler(1.0, rng))
 
 
 def test_probe_diagonal_low_rate_samples_each_row_independently():
@@ -204,7 +205,7 @@ def test_probe_diagonal_low_rate_samples_each_row_independently():
     x[200] = ord("z")
     xs = bytes(x)
     single = sum(
-        probe_diagonal(q(xs), q(y), 0, 150, 250, 0.02, random.Random(s))
+        probe_diagonal(q(xs), q(y), 0, 150, 250, gap_sampler(0.02, random.Random(s)))
         for s in range(400)
     )
     # one deviating row is seen only when sampled: rate 0.02, mean 8/400
@@ -212,7 +213,7 @@ def test_probe_diagonal_low_rate_samples_each_row_independently():
     x[150:251] = b"z" * 101
     xs = bytes(x)
     dense = sum(
-        probe_diagonal(q(xs), q(y), 0, 150, 250, 0.02, random.Random(s))
+        probe_diagonal(q(xs), q(y), 0, 150, 250, gap_sampler(0.02, random.Random(s)))
         for s in range(400)
     )
     # 101 deviating rows: miss probability 0.98**101, mean ~347/400
@@ -225,8 +226,8 @@ def test_probe_diagonal_rng_consumption_is_pinned():
     x = bytearray(y)
     x[150:251] = b"z" * 101
     rng = random.Random(5)
-    assert probe_diagonal(q(x), q(y), 0, 150, 250, 0.02, rng)
+    assert probe_diagonal(q(x), q(y), 0, 150, 250, gap_sampler(0.02, rng))
     assert rng.random() == 0.7417869892607294
     rng = random.Random(5)
-    assert not probe_diagonal(q(y), q(y), 0, 150, 250, 0.02, rng)
+    assert not probe_diagonal(q(y), q(y), 0, 150, 250, gap_sampler(0.02, rng))
     assert rng.random() == 0.7951935655656966

@@ -11,13 +11,12 @@ from conftest import (
     random_bytes,
     ref_banded_costs,
     ref_edit_distance,
+    ref_potent_sets,
     traced_scan,
 )
-from gaped.oracle import banded_edit_distance, banded_potent_table
+from gaped.oracle import banded_edit_distance
 from gaped.qstring import QueriedString
 from gaped.scan import CostArray, selective_scan
-
-INF = 1 << 28
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +97,7 @@ def test_active_sets_equal_brute_force_potent_sets():
         y = mutate(rng, x, rng.randrange(0, 8), b"abc")
         t = rng.choice((2, 3, 4))
         _, rows, _ = traced_scan(x, y, t)
-        table = banded_potent_table(x, y, t)
+        table = ref_potent_sets(x, y, t)
         seen = set()
         for i, kept in rows:
             assert set(kept) == table[i], (i, x, y, t)
