@@ -10,7 +10,6 @@ that prices only undominated cells, instance generators, and a CLI.
 
 from .alignment import MalformedAlignment, SuccinctAlignment, validate_alignment
 from .generators import (
-    InstanceSpec,
     certified_delta,
     certify_far,
     gen_block_shift,
@@ -18,7 +17,6 @@ from .generators import (
     gen_independent_random,
     gen_periodic_splice,
     gen_random_edits,
-    instantiate,
     read_instance,
     write_instance,
 )
@@ -34,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Answer",
-    "InstanceSpec",
     "MalformedAlignment",
     "PeriodState",
     "PeriodTransitionError",
@@ -55,7 +52,6 @@ __all__ = [
     "gen_independent_random",
     "gen_periodic_splice",
     "gen_random_edits",
-    "instantiate",
     "optimal_alignment",
     "read_instance",
     "run",

@@ -32,7 +32,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .generators import InstanceSpec, certified_delta, instantiate, write_instance
+from .generators import (
+    certified_delta,
+    gen_block_shift,
+    gen_independent_random,
+    gen_periodic_splice,
+    gen_random_edits,
+    write_instance,
+)
 from .oracle import banded_edit_distance
 from .qstring import QueriedString, ledger_snapshot
 from .sampled import run_sampled_tester
@@ -44,11 +51,13 @@ SCHEMA_VERSION = 3
 # gen's meta.json layout is versioned apart from the run report's.
 META_SCHEMA_VERSION = 2
 
+# Each --family flag: the family name meta.json and the CSV record, and
+# the generator, called as generator(n, seed=seed, **params).
 _FAMILY_FLAGS = {
-    "random-edits": "random_edits",
-    "block-shift": "block_shift",
-    "periodic-splice": "periodic_splice",
-    "independent": "independent_random",
+    "random-edits": ("random_edits", gen_random_edits),
+    "block-shift": ("block_shift", gen_block_shift),
+    "periodic-splice": ("periodic_splice", gen_periodic_splice),
+    "independent": ("independent_random", gen_independent_random),
 }
 
 BENCH_FIELDS = (
@@ -174,23 +183,21 @@ def _delta_bound(family: str, params: dict) -> int | None:
 def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
     seed = _resolve_seed(args.seed)
     params = _gen_params(args, parser)
-    spec = InstanceSpec(
-        family=_FAMILY_FLAGS[args.family], n=args.n, seed=seed, params=params
-    )
+    family, generate = _FAMILY_FLAGS[args.family]
     try:
-        x, y = instantiate(spec)
+        x, y = generate(args.n, seed=seed, **params)
     except ValueError as exc:
         parser.error(str(exc))
     meta = {
         "schema_version": META_SCHEMA_VERSION,
-        "family": spec.family,
-        "n": spec.n,
-        "seed": spec.seed,
-        "params": spec.params,
+        "family": family,
+        "n": args.n,
+        "seed": seed,
+        "params": params,
         "len_x": len(x),
         "len_y": len(y),
         "delta_exact": None if args.no_certify else certified_delta(x, y),
-        "delta_bound": _delta_bound(spec.family, params),
+        "delta_bound": _delta_bound(family, params),
     }
     try:
         write_instance(args.out, x, y, meta)
@@ -212,14 +219,13 @@ def _bench_params(family: str, t: int) -> dict:
     return {}
 
 
-def _bench_task(family: str, n: int, t: int, trial: int, base_seed: int,
+def _bench_task(flag: str, n: int, t: int, trial: int, base_seed: int,
                 cs: float, eps: float) -> tuple[int, int, int, int, bool, int]:
     # Deterministic per-cell seed; arithmetic (not hash) so worker
     # processes agree with the parent.
     seed = ((base_seed * 1000003 + n) * 1000003 + t) * 1000003 + trial
-    spec = InstanceSpec(family=family, n=n, seed=seed,
-                        params=_bench_params(family, t))
-    x, y = instantiate(spec)
+    family, generate = _FAMILY_FLAGS[flag]
+    x, y = generate(n, seed=seed, **_bench_params(family, t))
     cfg = TesterConfig(t=t, epsilon=eps, c_s=cs, seed=seed + 1)
     started = time.perf_counter_ns()
     v = run_main_tester(x, y, cfg)
@@ -234,10 +240,10 @@ def _p95(values: list[int]) -> int:
 
 
 def cmd_bench(args, parser: argparse.ArgumentParser) -> int:
-    family = _FAMILY_FLAGS[args.family]
+    family = _FAMILY_FLAGS[args.family][0]
     seed = _resolve_seed(args.seed)
     tasks = [
-        (family, n, t, trial, seed, args.cs, args.eps)
+        (args.family, n, t, trial, seed, args.cs, args.eps)
         for n in args.n_grid
         for t in args.t_grid
         for trial in range(args.trials)

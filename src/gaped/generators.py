@@ -17,9 +17,9 @@ Each family targets a regime the testers must handle:
   ones a trace should count.
 - independent_random: unrelated uniform strings, the far-instance source.
 
-Same spec (family, n, params, seed) always reproduces byte-identical
-strings.  Instances serialize as raw x.bin/y.bin plus a JSON sidecar with
-the certified distance when the exact oracle is affordable.
+The same arguments always reproduce byte-identical strings.  Instances
+serialize as raw x.bin/y.bin plus a JSON sidecar with the certified
+distance when the exact oracle is affordable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .oracle import banded_edit_distance, edit_distance
@@ -55,8 +54,6 @@ def gen_random_edits(n: int, k: int, seed: int, *, sigma: int = 4) -> tuple[byte
     y = bytearray(x)
     for _ in range(k):
         op = rng.randrange(3)
-        if not y:
-            op = 1
         if op == 0:
             pos = rng.randrange(len(y))
             y[pos] = rng.choice([c for c in alpha if c != y[pos]])
@@ -158,33 +155,6 @@ def gen_independent_random(n: int, seed: int, *, sigma: int = 4) -> tuple[bytes,
     x = bytes(rng.choices(alpha, k=n))
     y = bytes(rng.choices(alpha, k=n))
     return x, y
-
-
-_GENERATORS = {
-    "random_edits": gen_random_edits,
-    "block_shift": gen_block_shift,
-    "periodic_splice": gen_periodic_splice,
-    "independent_random": gen_independent_random,
-}
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Recipe for one instance: same spec, same bytes."""
-
-    family: str
-    n: int
-    seed: int
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in _GENERATORS:
-            raise ValueError(f"unknown family {self.family!r}")
-
-
-def instantiate(spec: InstanceSpec) -> tuple[bytes, bytes]:
-    fn = _GENERATORS[spec.family]
-    return fn(spec.n, seed=spec.seed, **spec.params)
 
 
 def certified_delta(x: bytes, y: bytes) -> int | None:

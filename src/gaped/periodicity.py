@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .qstring import QueriedString
+from .sampled import every_row, kept_rows
 # geometric_gap is not called here; it stays bound in this module because
 # profiling harnesses rebind it by module attribute.
 from .sampled import geometric_gap  # noqa: F401
@@ -110,34 +111,26 @@ def find_period_transition(x, y, state: PeriodState, i: int) -> int:
 def mismatched_diagonals(x, y, lo: int, hi: int, diagonals):
     """Diagonals with a direct mismatch in rows [lo .. hi] after a transition.
 
-    Returns the set of diagonals d with x[j'] != y[j'+d] for some in-range
-    row j' in the window.  Only pairs with both reads in range count; rows
-    truncated by a string boundary never charge, which can leave more than
-    one diagonal uncharged near the end of the strings (the caller probes
-    the extras separately).
+    Returns the set of diagonals that a rate-1 probe_diagonal over the
+    window charges: those d with x[j'] != y[j'+d] for some in-range row j'.
+    Only pairs with both reads in range count; rows truncated by a string
+    boundary never charge, which can leave more than one diagonal
+    uncharged near the end of the strings (the caller probes the extras
+    separately).
     """
-    charged = set()
-    for d in diagonals:
-        for jp in range(max(lo, 0, -d), min(hi, len(x) - 1, len(y) - 1 - d) + 1):
-            if x.read(jp) != y.read(jp + d):
-                charged.add(d)
-                break
-    return charged
+    return {d for d in diagonals if probe_diagonal(x, y, d, lo, hi, every_row)}
 
 
 def probe_diagonal(x, y, d: int, lo: int, hi: int, draw_gap) -> bool:
-    """Sample rows in [lo .. hi] on diagonal d; True on any mismatch.
+    """Check the rows of [lo .. hi] that draw_gap keeps on diagonal d.
 
-    draw_gap() gives the distance to the next kept row, as a
-    sampled.gap_sampler does: one draw per kept row, plus the draw that
-    passes hi when no mismatch stops the probe first.  A sampler at rate
-    >= 1 checks every row without consuming randomness.  Out-of-range
-    pairs are skipped.
+    True on the first mismatch.  The rows come from sampled.kept_rows, so
+    a probe stopped by a mismatch draws no further, and one that finds
+    none makes the draw that passes hi.  A rate-1 draw checks every row
+    without consuming randomness.  Out-of-range pairs are skipped.
     """
-    j = lo - 1 + draw_gap()
-    while j <= hi:
-        if 0 <= j < len(x) and 0 <= j + d < len(y):
-            if x.read(j) != y.read(j + d):
-                return True
-        j += draw_gap()
+    first, last = max(0, -d), min(len(x), len(y) - d) - 1
+    for j in kept_rows(lo, hi, draw_gap):
+        if first <= j <= last and x.read(j) != y.read(j + d):
+            return True
     return False

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .qstring import as_queried, bytes_match, ledger_snapshot
@@ -37,7 +37,8 @@ def check_parameters(t, c_s) -> None:
         raise ValueError(f"sampling constant must be positive, got {c_s!r}")
 
 
-def _one() -> int:
+def every_row() -> int:
+    """The rate-1 gap draw: keep the next row, consume no randomness."""
     return 1
 
 
@@ -52,7 +53,7 @@ def gap_sampler(rate: float, rng) -> Callable[[], int]:
     here, before any draw.
     """
     if rate >= 1.0:
-        return _one
+        return every_row
     if not 1.0 - rate < 1.0:  # rate <= 0, NaN, or so small that log(1 - rate) is 0
         raise ValueError(f"sampling rate {rate!r} must be positive with 1 - rate < 1")
     log = math.log
@@ -76,6 +77,19 @@ def geometric_gap(rate: float, rng) -> int:
     return gap_sampler(rate, rng)()
 
 
+def kept_rows(lo: int, hi: int, draw_gap: Callable[[], int]) -> Iterator[int]:
+    """The rows of [lo .. hi] kept by draw_gap, in increasing order.
+
+    The first kept row is lo - 1 + draw_gap(), and each further draw
+    adds one gap while the row is at most hi.  The walk makes the draw
+    that passes hi, and no draw once its caller stops iterating.
+    """
+    r = lo - 1 + draw_gap()
+    while r <= hi:
+        yield r
+        r += draw_gap()
+
+
 def sampling_rate(n: int, t: int, c_s: float, epsilon: float = 0.0) -> float:
     """Row sampling rate min(1, c_s*ln(n)/t^(1-epsilon)); 1 when n <= 0.
 
@@ -90,18 +104,11 @@ def sampling_rate(n: int, t: int, c_s: float, epsilon: float = 0.0) -> float:
 def sample_rows(n: int, t: int, c_s: float, rng) -> list[int]:
     """Sorted sample: row 0 plus each row in [1..n] kept w.p. c_s*ln(n)/t.
 
-    Generated by geometric gap-skipping, so the cost is proportional to
-    the sample size rather than n.
+    kept_rows skips geometric gaps, so the cost is proportional to the
+    sample size rather than n.
     """
     check_parameters(t, c_s)
-    draw = gap_sampler(sampling_rate(n, t, c_s), rng)
-    rows = [0]
-    r = 0
-    while True:
-        r += draw()
-        if r > n:
-            return rows
-        rows.append(r)
+    return [0, *kept_rows(1, n, gap_sampler(sampling_rate(n, t, c_s), rng))]
 
 
 @dataclass(frozen=True)

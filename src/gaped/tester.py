@@ -90,7 +90,6 @@ class ModeState:
     costs: CostArray
     period: PeriodState | None
     quiet_rows: int
-    rate: float
     draw_gap: Callable[[], int]
     draw_probe_gap: Callable[[], int]
     stats: RunStats
@@ -117,7 +116,6 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
         costs=CostArray(cfg.t),
         period=None,
         quiet_rows=0,
-        rate=rate,
         draw_gap=gap_sampler(rate, rng_rows),
         draw_probe_gap=gap_sampler(rate, rng_probe),
         stats=RunStats(),

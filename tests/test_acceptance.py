@@ -28,7 +28,7 @@ from gaped.generators import (
 from gaped.oracle import banded_edit_distance, edit_distance, full_cost_table
 from gaped.periodicity import mismatched_diagonals
 from gaped.qstring import QueriedString
-from gaped.sampled import run_sampled_tester
+from gaped.sampled import run_sampled_tester, sampling_rate
 from gaped.scan import selective_scan
 from gaped.tester import TesterConfig, run
 
@@ -56,15 +56,33 @@ def _corpus_close_4096():
     return out
 
 
+def _main_decision(t):
+    return lambda x, y, seed: run(QueriedString(x), QueriedString(y),
+                                  TesterConfig(t=t, seed=seed))
+
+
+def _warmup_decision(x, y, seed):
+    return run_sampled_tester(QueriedString(x), QueriedString(y), 4, 3.0,
+                              random.Random(seed))
+
+
+def _seed_free(decide, cases) -> int:
+    """Assert that seeds 0..9 give one verdict on each case; count cases.
+
+    At sampling rate 1 a tester keeps every row and draws no random
+    number, so one seed stands for all; this keeps that a checked fact.
+    """
+    for x, y, *_ in cases:
+        first = decide(x, y, 0)
+        assert all(decide(x, y, seed) == first for seed in range(1, 10))
+    return len(cases)
+
+
 @functools.cache
 def _suite5_close_runs():
-    """Main tester at t=8 on the close corpus, seeds 0..9 per pair."""
-    runs = []
-    for x, y, d in _corpus_close_4096():
-        vs = [run(QueriedString(x), QueriedString(y), TesterConfig(t=8, seed=s))
-              for s in range(10)]
-        runs.append((x, y, d, vs))
-    return runs
+    """Main tester at t=8 (rate 1) on the close corpus, seed 0 per pair."""
+    decide = _main_decision(8)
+    return [(x, y, d, [decide(x, y, 0)]) for x, y, d in _corpus_close_4096()]
 
 
 @functools.cache
@@ -228,26 +246,20 @@ def test_criterion_03_scan_bookkeeping():
 
 def test_criterion_04_warmup_tester():
     started = time.perf_counter()
-    failures = 0
-    for x, y, _d in _corpus_close_4096():
-        for seed in range(10):
-            v = run_sampled_tester(QueriedString(x), QueriedString(y), 4, 3.0,
-                                   random.Random(seed))
-            failures += not v.is_close
+    # rate 1, so each decision is made once, with seed 0
+    assert sampling_rate(4096, 4, 3.0) == 1.0
+    close, far_instances = _corpus_close_4096(), _suite4_far_instances()
+    checked = _seed_free(_warmup_decision, close[:5] + far_instances[:5])
+    failures = sum(not _warmup_decision(x, y, 0).is_close for x, y, _d in close)
     far_rates = []
-    for x, y, threshold in _suite4_far_instances():
+    for x, y, threshold in far_instances:
         assert threshold == 6 * 16
-        far = sum(
-            not run_sampled_tester(QueriedString(x), QueriedString(y), 4, 3.0,
-                                   random.Random(trial)).is_close
-            for trial in range(300)
-        )
-        far_rates.append(far / 300)
+        far_rates.append(float(not _warmup_decision(x, y, 0).is_close))
     elapsed = time.perf_counter() - started
     ok = failures == 0 and min(far_rates) >= 0.60 and elapsed < 300
-    _announce(4, ok, f"completeness {failures}/2000 failures; "
-                     f"min far rate {min(far_rates):.2f} over 20 instances",
-              elapsed)
+    _announce(4, ok, f"rate 1, seeds 0-9 agree on {checked} cases; completeness "
+                     f"{failures}/{len(close)} failures; far on "
+                     f"{sum(far_rates):.0f}/{len(far_rates)} instances", elapsed)
     assert failures == 0
     assert min(far_rates) >= 0.60
     assert elapsed < 300
@@ -259,23 +271,21 @@ def test_criterion_04_warmup_tester():
 
 def test_criterion_05_main_tester():
     started = time.perf_counter()
-    failures = sum(
-        not v.is_close for _x, _y, _d, vs in _suite5_close_runs() for v in vs
-    )
+    # rate 1 at both thresholds, so each decision is made once, with seed 0
+    assert sampling_rate(4096, 8, 3.0) == sampling_rate(4096, 4, 3.0) == 1.0
+    runs, far_instances = _suite5_close_runs(), _suite5_far_instances()
+    checked = _seed_free(_main_decision(8), runs[:5])
+    checked += _seed_free(_main_decision(4), far_instances[:5])
+    failures = sum(not v.is_close for _x, _y, _d, vs in runs for v in vs)
     far_rates = []
-    for x, y, threshold in _suite5_far_instances():
+    for x, y, threshold in far_instances:
         assert threshold == 13 * 16
-        far = sum(
-            not run(QueriedString(x), QueriedString(y),
-                    TesterConfig(t=4, seed=trial)).is_close
-            for trial in range(300)
-        )
-        far_rates.append(far / 300)
+        far_rates.append(float(not _main_decision(4)(x, y, 0).is_close))
     elapsed = time.perf_counter() - started
     ok = failures == 0 and min(far_rates) >= 0.60 and elapsed < 600
-    _announce(5, ok, f"completeness {failures}/2000 failures; "
-                     f"min far rate {min(far_rates):.2f} over 20 instances",
-              elapsed)
+    _announce(5, ok, f"rate 1, seeds 0-9 agree on {checked} cases; completeness "
+                     f"{failures}/{len(runs)} failures; far on "
+                     f"{sum(far_rates):.0f}/{len(far_rates)} instances", elapsed)
     assert failures == 0
     assert min(far_rates) >= 0.60
     assert elapsed < 600

@@ -237,7 +237,8 @@ def test_gen_missing_family_parameter_exits_2(tmp_path, capsys):
 def test_gen_invalid_generator_arguments_exit_2(tmp_path, capsys):
     for args in (["--family", "periodic-splice", "-n", "1024", "--period", "3"],
                  ["--family", "random-edits", "-n", "50", "--k", "-1"],
-                 ["--family", "independent", "-n", "0"]):
+                 ["--family", "independent", "-n", "0"],
+                 ["--family", "mystery", "-n", "64"]):
         with pytest.raises(SystemExit) as exc:
             run_cli(["gen", "--out", str(tmp_path / "d"), *args])
         assert exc.value.code == 2, args

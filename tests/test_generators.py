@@ -7,7 +7,6 @@ import pytest
 
 from conftest import ref_edit_distance
 from gaped.generators import (
-    InstanceSpec,
     certified_delta,
     certify_far,
     gen_block_shift,
@@ -15,7 +14,6 @@ from gaped.generators import (
     gen_independent_random,
     gen_periodic_splice,
     gen_random_edits,
-    instantiate,
     read_instance,
     write_instance,
 )
@@ -181,19 +179,6 @@ def test_gen_certified_far_gives_up_when_impossible():
 
 # ---------------------------------------------------------------------------
 # specs and the disk round trip
-
-
-def test_instance_spec_same_spec_same_bytes():
-    spec = InstanceSpec("periodic_splice", 2048, 5, {"g": 2, "num_transitions": 3})
-    again = InstanceSpec("periodic_splice", 2048, 5, {"g": 2, "num_transitions": 3})
-    x1, y1 = instantiate(spec)
-    x2, y2 = instantiate(again)
-    assert x1 == x2 and y1 == y2
-
-
-def test_instance_spec_rejects_unknown_family():
-    with pytest.raises(ValueError):
-        InstanceSpec("mystery", 100, 0, {})
 
 
 def test_write_read_instance_round_trip(tmp_path):

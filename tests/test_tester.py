@@ -227,6 +227,40 @@ def test_one_round_call_per_counted_row(monkeypatch):
                          "contiguous_round": s.contiguous_rows}, kw
 
 
+def test_a_probe_that_finds_a_mismatch_charges_its_diagonal(monkeypatch):
+    # The transition window charges no diagonal here, so both survivors
+    # are probed over the regime; the probe on diagonal 1 finds a
+    # mismatch, and diagonal 1 is charged at the failed sampled row.
+    probes = []
+    inner = gaped.tester.probe_diagonal
+
+    def recorded(*args):
+        probes.append(inner(*args))
+        return probes[-1]
+
+    monkeypatch.setattr(gaped.tester, "probe_diagonal", recorded)
+    v = _run(b"a" * 24, b"acaaaaaaaaaaaaaaaabaaaaaac", t=4, c_s=0.3, seed=577)
+    assert probes == [False, True]
+    assert v.stats.search_rows == [24]
+    assert [(d, kind) for row, d, kind in v.stats.events if row == 24] == [
+        (1, SUBSTITUTION)]
+    assert (v.answer.value, v.final_a0) == ("close", 2)
+    assert (v.ledger.distinct_x, v.ledger.distinct_y, v.ledger.total_accesses) == (
+        22, 24, 85)
+
+
+def test_an_emptied_active_set_is_far_below_the_threshold():
+    # Every diagonal's counter passes its t - |d| budget while the
+    # finishing diagonal's own counter is still at most t: the run stops
+    # Far because no diagonal is left, not because a0 passed t.
+    x, y = b"bbbbabbbaaaaab", b"aabbbbbbbabbbaa"
+    v = _run(x, y, t=3, c_s=100, seed=5)
+    assert (v.answer.value, v.final_a0, v.alignment) == ("far", 3, None)
+    assert (v.stats.sampled_rows, v.stats.contiguous_rows, v.stats.search_rows) == (
+        2, 8, [8])
+    assert edit_distance(x, y) == 7
+
+
 # ---------------------------------------------------------------------------
 # charge accounting
 
@@ -262,16 +296,11 @@ def test_epsilon_raises_the_sampling_rate_exponent():
     import math
 
     from gaped.sampled import sampling_rate
-    from gaped.tester import initial_state
 
     n, t = 1 << 16, 64
-    x = QueriedString(b"a" * n)
-    s0 = initial_state(x, x, TesterConfig(t=t, epsilon=0.5))
-    s1 = initial_state(x, x, TesterConfig(t=t))
     r_eps = min(1.0, 3.0 * math.log(n) / t**0.5)
     r_flat = min(1.0, 3.0 * math.log(n) / t)
-    assert s0.rate == pytest.approx(r_eps)
-    assert s1.rate == pytest.approx(r_flat)
-    assert sampling_rate(n, t, 3.0, 0.5) == s0.rate
-    assert sampling_rate(n, t, 3.0) == s1.rate
+    assert r_flat < r_eps
+    assert sampling_rate(n, t, 3.0, 0.5) == pytest.approx(r_eps)
+    assert sampling_rate(n, t, 3.0) == pytest.approx(r_flat)
     assert sampling_rate(0, t, 3.0) == 1.0
