@@ -3,9 +3,10 @@
 Given query access to two strings and a threshold t, the testers decide
 between distance at most t (close, never misreported) and distance beyond
 13 t^2 (far, caught with probability at least 2/3), reading far fewer
-characters than the strings hold.  The package also ships the exact and
-banded DP oracles used to certify test corpora, a selective diagonal scan
-that prices only undominated cells, instance generators, and a CLI.
+characters than the strings hold.  The package also ships the exact
+diagonal-transition oracle used to certify test corpora, a selective
+diagonal scan that prices only undominated cells, instance generators,
+and a CLI.
 """
 
 from .alignment import MalformedAlignment, SuccinctAlignment, validate_alignment
@@ -20,7 +21,7 @@ from .generators import (
     read_instance,
     write_instance,
 )
-from .oracle import banded_edit_distance, edit_distance, optimal_alignment
+from .oracle import banded_edit_distance, edit_distance
 from .periodicity import PeriodState, PeriodTransitionError, find_period_transition
 from .qstring import QueriedString, QueryLedger, as_queried
 from .sampled import run_sampled_tester, sample_rows
@@ -52,7 +53,6 @@ __all__ = [
     "gen_independent_random",
     "gen_periodic_splice",
     "gen_random_edits",
-    "optimal_alignment",
     "read_instance",
     "run",
     "run_sampled_tester",

@@ -1,14 +1,13 @@
 """Succinct alignment certificates, the package's one alignment format.
 
 A close verdict carries a compressed description of an alignment the run
-believes in, and the exact oracle's ``optimal_alignment`` returns one too:
-a chain of row intervals, each pinned to one diagonal, plus the charged
-edit events observed along the way.  Consecutive segments share their
-boundary row, except that a move down a diagonal may skip the row its
-deletion consumes.  The diagonal moves between segments are recorded as
-explicit diag+1 / diag-1 events, so the whole object decodes back into a
-concrete path through the grid whose cost can be priced against the full
-strings.
+believes in: a chain of row intervals, each pinned to one diagonal, plus
+the charged edit events observed along the way.  Consecutive segments
+share their boundary row, except that a move down a diagonal may skip
+the row its deletion consumes.  The diagonal moves between segments are
+recorded as explicit diag+1 / diag-1 events, so the whole object decodes
+back into a concrete path through the grid whose cost can be priced
+against the full strings.
 
 Encoding is varint-based (LEB128 with zigzag for diagonals), so the size
 is O((#segments + #events) * log n) bits.

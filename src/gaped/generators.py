@@ -19,7 +19,7 @@ Each family targets a regime the testers must handle:
 
 The same arguments always reproduce byte-identical strings.  Instances
 serialize as raw x.bin/y.bin plus a JSON sidecar with the certified
-distance when the exact oracle is affordable.
+distance when neither string is longer than ``ORACLE_CEILING``.
 """
 
 from __future__ import annotations
@@ -158,7 +158,8 @@ def gen_independent_random(n: int, seed: int, *, sigma: int = 4) -> tuple[bytes,
 
 
 def certified_delta(x: bytes, y: bytes) -> int | None:
-    """Exact distance when the full DP is affordable, else None."""
+    """Exact distance when neither string is longer than ORACLE_CEILING,
+    else None."""
     if max(len(x), len(y)) <= ORACLE_CEILING:
         return edit_distance(x, y)
     return None

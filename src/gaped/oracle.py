@@ -1,11 +1,10 @@
-"""Exact edit-distance oracles over the diagonal grid.
+"""Exact edit distance by diagonal transition.
 
-Reference implementations with unrestricted queries: the full dynamic
-program and its cost table, the diagonal-transition banded oracle, and an
-optimal alignment with a fixed tie-break (as a ``SuccinctAlignment``, the
-format the testers certify in).  Each reads both strings in full through
-``as_queried``, so a ``QueriedString`` input's ledger shows every position
-read.
+One kernel, ``banded_edit_distance`` (Ukkonen 1985; Landau, Myers and
+Schmidt 1998), answers in O(n + band^2) time; ``edit_distance`` runs it at
+the full band max(|x|, |y|), which no distance exceeds.  Each call reads
+both strings in full through ``as_queried``, so a ``QueriedString``
+input's ledger shows every position read.
 
 Coordinates are 0-based throughout.  Cell ``(i, d)`` holds the edit distance
 between the first ``i`` bytes of ``x`` and the first ``i + d`` bytes of
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alignment import DIAG_DOWN, DIAG_UP, SUBSTITUTION, SuccinctAlignment
 from .qstring import as_queried
 
 _UNREACHED = -(1 << 40)  # far[] of a diagonal no path has reached
@@ -31,31 +29,13 @@ def _as_u8(b: bytes) -> np.ndarray:
     return np.frombuffer(b, dtype=np.uint8)
 
 
-def _dp_rows(bx: bytes, by: bytes):
-    """Rows 0..|x| of the full DP, each a fresh array of |y| + 1 costs.
-
-    Row update: substitutions and deletions vectorize directly; the
-    within-row insertion chain is min(tmp[k] + (j - k)) over k <= j, which
-    is a running minimum of tmp[k] - k.
-    """
-    xa, ya = _as_u8(bx), _as_u8(by)
-    idx = np.arange(len(by) + 1, dtype=np.int32)
-    row = idx
-    yield row
-    tmp = np.empty(len(by) + 1, dtype=np.int32)
-    for i in range(1, len(bx) + 1):
-        tmp[0] = i
-        np.minimum(row[:-1] + (ya != xa[i - 1]), row[1:] + 1, out=tmp[1:])
-        row = np.minimum.accumulate(tmp - idx) + idx
-        yield row
-
-
 def edit_distance(x, y) -> int:
-    """Exact edit distance by the full DP, keeping one row at a time."""
-    bx, by = as_queried(x).read_all(), as_queried(y).read_all()
-    for row in _dp_rows(bx, by):
-        pass
-    return int(row[-1])
+    """Exact edit distance: the banded oracle at band max(|x|, |y|).
+
+    It returns after ED + 1 levels, so the time is O(n + ED^2).
+    """
+    x, y = as_queried(x), as_queried(y)
+    return banded_edit_distance(x, y, max(len(x), len(y)))
 
 
 def banded_edit_distance(x, y, band: int) -> int | None:
@@ -78,6 +58,7 @@ def banded_edit_distance(x, y, band: int) -> int | None:
     d_end = ny - nx
     if abs(d_end) > band:
         return None
+    band = min(band, max(nx, ny))  # no distance exceeds the longer length
     # Distinct pads past each end: a read there never matches.
     xp = np.append(_as_u8(bx).astype(np.int16), -1)
     yp = np.append(_as_u8(by).astype(np.int16), -2)
@@ -124,51 +105,3 @@ def _slide(rows: np.ndarray, ds: np.ndarray, xp: np.ndarray, yp: np.ndarray) -> 
         rows[part] += np.where(done, stop, span)
         live = np.concatenate((part[~done], live))
         span *= 2
-
-
-def full_cost_table(x, y) -> np.ndarray:
-    """The whole (|x|+1) x (|y|+1) DP matrix, for desk-scale sizes."""
-    return np.stack(list(_dp_rows(as_queried(x).read_all(), as_queried(y).read_all())))
-
-
-# ---------------------------------------------------------------------------
-# Optimal alignment with a fixed tie-break.
-
-
-def optimal_alignment(x, y) -> SuccinctAlignment:
-    """An optimal alignment as a certificate; ties prefer match/substitute,
-    then delete, then insert.
-
-    The traceback walks back from (|x|, |y|) and opens each segment at its
-    last row.  Deleting x[i - 1] steps down from diagonal d + 1 to d and
-    skips row i - 1, so the segment on d starts at row i; inserting
-    y[j - 1] steps up from d - 1 to d within row i.
-    """
-    bx, by = as_queried(x).read_all(), as_queried(y).read_all()
-    m = full_cost_table(bx, by)
-    segments: list[tuple[int, int, int]] = []
-    events: list[tuple[int, int, str]] = []
-    i, j = len(bx), len(by)
-    hi = i  # last row of the open segment
-    while i > 0 or j > 0:
-        d = j - i
-        if i > 0 and j > 0:
-            same = bx[i - 1] == by[j - 1]
-            if m[i][j] == m[i - 1][j - 1] + (0 if same else 1):
-                if not same:
-                    events.append((i - 1, d, SUBSTITUTION))
-                i -= 1
-                j -= 1
-                continue
-        segments.append((i, hi, d))
-        if i > 0 and m[i][j] == m[i - 1][j] + 1:
-            events.append((i - 1, d, DIAG_DOWN))
-            i -= 1
-        else:
-            events.append((i, d, DIAG_UP))
-            j -= 1
-        hi = i
-    segments.append((0, hi, 0))
-    segments.reverse()
-    events.reverse()
-    return SuccinctAlignment(segments=tuple(segments), events=tuple(events))

@@ -1,19 +1,23 @@
 """Shared test helpers.
 
 ref_edit_distance is a deliberately plain O(nm) implementation kept
-independent of the package's vectorized oracles; the oracle tests check
-one against the other, and everything downstream trusts the oracle.
-ref_banded_costs and ref_potent_sets are the pure-Python references for
-the banded grid the selective scan walks.
+independent of the package's diagonal-transition oracle; the oracle tests
+check one against the other, and everything downstream trusts the oracle.
+ref_cost_table is the vectorized full DP over the whole grid, for pairs
+too long for the plain loop, and ref_optimal_alignment is its traceback
+with a fixed tie-break.  ref_banded_costs and ref_potent_sets are the
+pure-Python references for the banded grid the selective scan walks.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
 import gaped.scan
+from gaped.alignment import DIAG_DOWN, DIAG_UP, SUBSTITUTION, SuccinctAlignment
 from gaped.qstring import as_queried
 from gaped.scan import CostArray, advance_row
 
@@ -32,6 +36,65 @@ def ref_edit_distance(x: bytes, y: bytes) -> int:
             ))
         prev = cur
     return prev[len(y)]
+
+
+def ref_cost_table(x, y) -> np.ndarray:
+    """The whole (|x|+1) x (|y|+1) DP matrix, read through as_queried.
+
+    Row update: substitutions and deletions vectorize directly; the
+    within-row insertion chain is min(tmp[k] + (j - k)) over k <= j, which
+    is a running minimum of tmp[k] - k.
+    """
+    bx, by = as_queried(x).read_all(), as_queried(y).read_all()
+    xa, ya = np.frombuffer(bx, dtype=np.uint8), np.frombuffer(by, dtype=np.uint8)
+    idx = np.arange(len(by) + 1, dtype=np.int32)
+    m = np.empty((len(bx) + 1, len(by) + 1), dtype=np.int32)
+    m[0] = idx
+    tmp = np.empty(len(by) + 1, dtype=np.int32)
+    for i in range(1, len(bx) + 1):
+        tmp[0] = i
+        np.minimum(m[i - 1, :-1] + (ya != xa[i - 1]), m[i - 1, 1:] + 1, out=tmp[1:])
+        m[i] = np.minimum.accumulate(tmp - idx) + idx
+    return m
+
+
+def ref_optimal_alignment(x, y) -> SuccinctAlignment:
+    """An optimal alignment as a certificate; ties prefer match/substitute,
+    then delete, then insert.
+
+    The traceback walks back from (|x|, |y|) and opens each segment at its
+    last row.  Deleting x[i - 1] steps down from diagonal d + 1 to d and
+    skips row i - 1, so the segment on d starts at row i; inserting
+    y[j - 1] steps up from d - 1 to d within row i.
+    """
+    bx, by = as_queried(x).read_all(), as_queried(y).read_all()
+    m = ref_cost_table(bx, by)
+    segments: list[tuple[int, int, int]] = []
+    events: list[tuple[int, int, str]] = []
+    i, j = len(bx), len(by)
+    hi = i  # last row of the open segment
+    while i > 0 or j > 0:
+        d = j - i
+        if i > 0 and j > 0:
+            same = bx[i - 1] == by[j - 1]
+            if m[i][j] == m[i - 1][j - 1] + (0 if same else 1):
+                if not same:
+                    events.append((i - 1, d, SUBSTITUTION))
+                i -= 1
+                j -= 1
+                continue
+        segments.append((i, hi, d))
+        if i > 0 and m[i][j] == m[i - 1][j] + 1:
+            events.append((i - 1, d, DIAG_DOWN))
+            i -= 1
+        else:
+            events.append((i, d, DIAG_UP))
+            j -= 1
+        hi = i
+    segments.append((0, hi, 0))
+    segments.reverse()
+    events.reverse()
+    return SuccinctAlignment(segments=tuple(segments), events=tuple(events))
 
 
 def mutate(rng: random.Random, x: bytes, k: int, alpha: bytes = b"abcd") -> bytes:

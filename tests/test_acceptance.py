@@ -16,6 +16,7 @@ from conftest import (
     mutate,
     random_bytes,
     ref_banded_costs,
+    ref_cost_table,
     ref_potent_sets,
     traced_scan,
 )
@@ -25,7 +26,7 @@ from gaped.generators import (
     gen_periodic_splice,
     gen_random_edits,
 )
-from gaped.oracle import banded_edit_distance, edit_distance, full_cost_table
+from gaped.oracle import banded_edit_distance, edit_distance
 from gaped.periodicity import mismatched_diagonals
 from gaped.qstring import QueriedString
 from gaped.sampled import run_sampled_tester, sampling_rate
@@ -167,7 +168,7 @@ def test_criterion_02_grid_difference_laws():
         else:
             n = rng.randint(180, 300)
             x, y = gen_periodic_splice(n, 2, 1, rng.randrange(1 << 30))
-        m = full_cost_table(x, y)
+        m = ref_cost_table(x, y)
         diag = m[1:, 1:] - m[:-1, :-1]
         horiz = m[:, 1:] - m[:, :-1]
         vert = m[1:, :] - m[:-1, :]

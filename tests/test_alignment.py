@@ -1,4 +1,4 @@
-"""Succinct alignment certificates: encoding, validation, oracle alignments."""
+"""Succinct alignment certificates: encoding, validation, full-DP alignments."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mutate, random_bytes, ref_edit_distance
+from conftest import mutate, random_bytes, ref_edit_distance, ref_optimal_alignment
 from gaped.alignment import (
     DIAG_DOWN,
     DIAG_UP,
@@ -15,7 +15,6 @@ from gaped.alignment import (
     SuccinctAlignment,
     validate_alignment,
 )
-from gaped.oracle import optimal_alignment
 from gaped.qstring import QueriedString
 
 KINDS = (SUBSTITUTION, DIAG_UP, DIAG_DOWN)
@@ -131,7 +130,7 @@ def test_oracle_alignments_convert_and_price_exactly(data):
     n = rng.randrange(0, 50)
     x = random_bytes(rng, n)
     y = mutate(rng, x, rng.randrange(0, 10))
-    succ = optimal_alignment(x, y)
+    succ = ref_optimal_alignment(x, y)
     # the chain covers both strings: it starts at (0, 0) and ends at (|x|, |y|)
     assert succ.segments[0][0] == succ.segments[0][2] == 0
     assert succ.segments[-1][1:] == (len(x), len(y) - len(x))
@@ -158,13 +157,13 @@ ORACLE_PINS = (
 
 @pytest.mark.parametrize("x, y, segments, events", ORACLE_PINS)
 def test_oracle_alignment_pins(x, y, segments, events):
-    assert optimal_alignment(x, y) == SuccinctAlignment(segments=segments, events=events)
+    assert ref_optimal_alignment(x, y) == SuccinctAlignment(segments=segments, events=events)
 
 
 def test_conversion_structure_for_a_known_case():
     # x -> y with one substitution and one insertion
     x, y = b"abcdef", b"abXdefg"
-    succ = optimal_alignment(x, y)
+    succ = ref_optimal_alignment(x, y)
     assert succ.segments[0][0] == 0
     assert succ.segments[-1][1] == len(x)
     assert sum(1 for e in succ.events if e[2] == SUBSTITUTION) == 1

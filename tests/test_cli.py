@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import gaped
+from conftest import ref_cost_table
 from gaped.cli import BENCH_FIELDS, main
 from gaped.generators import gen_independent_random, gen_random_edits
-from gaped.oracle import edit_distance
 from gaped.qstring import QueriedString
 
 
@@ -69,7 +69,7 @@ def test_run_oracle_report_equals_the_full_dp_answer(pair, tmp_path):
     (tmp_path / "fy.bin").write_bytes(far_y)
     for xp, yp in (pair, (str(tmp_path / "fx.bin"), str(tmp_path / "fy.bin"))):
         x, y = (QueriedString(Path(p).read_bytes()) for p in (xp, yp))
-        dist = edit_distance(x, y)
+        dist = int(ref_cost_table(x, y)[-1, -1])
         _, out = run_cli(["run", "--algo", "oracle", "--x", xp, "--y", yp,
                           "-t", "8", "--stable-output"])
         rep = json.loads(out)
@@ -78,6 +78,18 @@ def test_run_oracle_report_equals_the_full_dp_answer(pair, tmp_path):
         assert (rep["distinct_x"], rep["distinct_y"], rep["total_accesses"]) == (
             x.distinct, y.distinct, x.total + y.total)
     assert dist > 8  # the second pair is far
+
+
+def test_run_oracle_threshold_past_both_lengths(tmp_path):
+    # the oracle's work is sized by the input, not by -t
+    xp, yp = tmp_path / "x.bin", tmp_path / "y.bin"
+    xp.write_bytes(b"abcdefghij")
+    yp.write_bytes(b"abcdXfghij")
+    code, out = run_cli(["run", "--algo", "oracle", "--x", str(xp), "--y", str(yp),
+                         "-t", "100000000000"])
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["verdict"], rep["final_a0"]) == ("close", 1)
 
 
 def test_run_csv_header_matches_report_fields(pair):

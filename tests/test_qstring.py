@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from gaped.alignment import SuccinctAlignment, validate_alignment
 from gaped.generators import certify_far
-from gaped.oracle import (
-    banded_edit_distance,
-    edit_distance,
-    full_cost_table,
-    optimal_alignment,
-)
+from gaped.oracle import banded_edit_distance, edit_distance
 from gaped.qstring import QueriedString, as_queried, bytes_match, ledger_snapshot
 from gaped.sampled import run_sampled_tester
 from gaped.scan import selective_scan
@@ -77,8 +72,6 @@ ENTRY_POINTS = {
     "selective_scan": lambda x, y: selective_scan(x, y, 4),
     "edit_distance": edit_distance,
     "banded_edit_distance": lambda x, y: banded_edit_distance(x, y, 4),
-    "full_cost_table": lambda x, y: full_cost_table(x, y).tolist(),
-    "optimal_alignment": optimal_alignment,
     "certify_far": lambda x, y: certify_far(x, y, 2),
     "validate_alignment": lambda x, y: validate_alignment(_DIAGONAL, x, y),
     "QueriedString": lambda x, y: (QueriedString(x).data, QueriedString(y).data),
