@@ -15,11 +15,18 @@ Out-of-range semantics: a position outside the string compares unequal to
 every in-range byte and unequal to other out-of-range positions.  Comparison
 sites must therefore go through :func:`bytes_match` instead of ``==`` (two
 ``None`` results would otherwise compare equal).
+
+Batched access: :meth:`QueriedString.look` returns the bytes at an array of
+positions uncharged, and :meth:`QueriedString.charge` charges an array of
+positions as reading each would.  Only a caller that charges exactly the
+positions it used may take the uncharged look.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,22 @@ class QueriedString:
                 self.distinct += 1
             return self.data[i]
         return None
+
+    def look(self, positions: np.ndarray) -> np.ndarray:
+        """The bytes at an increasing array of positions, -1 out of range; uncharged."""
+        lo, hi = np.searchsorted(positions, (0, self._n))
+        out = np.full(len(positions), -1, dtype=np.int16)
+        out[lo:hi] = np.frombuffer(self.data, dtype=np.uint8)[positions[lo:hi]]
+        return out
+
+    def charge(self, positions: np.ndarray) -> None:
+        """Count a strictly increasing array of positions as read() each would."""
+        lo, hi = np.searchsorted(positions, (0, self._n))
+        positions = positions[lo:hi]
+        seen = np.frombuffer(self._seen, dtype=np.uint8)
+        self.total += len(positions)
+        self.distinct += len(positions) - int(np.count_nonzero(seen[positions]))
+        seen[positions] = 1
 
     def read_all(self) -> bytes:
         """Mark every position read and return the data.

@@ -18,6 +18,8 @@ import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .qstring import as_queried, bytes_match, ledger_snapshot
 from .verdict import Answer, Verdict
 
@@ -64,6 +66,49 @@ def gap_sampler(rate: float, rng) -> Callable[[], int]:
         return 1 + int(log(1.0 - random()) / log_q)
 
     return draw
+
+
+class GapStream:
+    """gap_sampler(rate, rng) with its gaps shown ahead in numpy blocks.
+
+    Calling the stream takes the next gap; peek(k) shows the next k gaps
+    as an int64 array without taking them, and skip(k) takes k of them.
+    The gaps equal gap_sampler's draw for draw, and a stream that is only
+    called draws as gap_sampler does; peek draws ahead, so use it only on
+    an rng that nothing else draws from.  np.log may differ from math.log
+    in the last ulp, which moves a truncated quotient only next to an
+    integer, so those within 1e-9 (relative) of one are taken again.
+    """
+
+    def __init__(self, rate: float, rng):
+        self._draw = gap_sampler(rate, rng)  # rejects a bad rate
+        self._rate, self._random = rate, rng.random
+        self._gaps = np.empty(0, dtype=np.int64)
+        self._at = 0
+
+    def __call__(self) -> int:
+        if self._at == len(self._gaps):
+            return self._draw()
+        self._at += 1
+        return int(self._gaps[self._at - 1])
+
+    def peek(self, k: int) -> np.ndarray:
+        if len(self._gaps) - self._at < k:
+            # k draws, not the shortfall: numpy caches small buffers per size.
+            fresh = np.ones(k, dtype=np.int64)
+            if self._draw is not every_row:
+                random, log_q = self._random, math.log(1.0 - self._rate)
+                u = np.array([random() for _ in range(k)])
+                q = np.log(1.0 - u) / log_q
+                fresh += q.astype(np.int64)
+                near = np.abs(q - np.rint(q)) <= 1e-9 * np.maximum(q, 1.0)
+                fresh[near] = [1 + int(math.log(1.0 - v) / log_q) for v in u[near]]
+            self._gaps = np.concatenate((self._gaps[self._at:], fresh))
+            self._at = 0
+        return self._gaps[self._at:self._at + k]
+
+    def skip(self, k: int) -> None:
+        self._at += k
 
 
 def geometric_gap(rate: float, rng) -> int:

@@ -4,7 +4,9 @@ The tester walks the grid like the selective scan but spends rows only
 where something is happening.  In sampling mode it hops between randomly
 sampled rows, checking that both strings still follow the period pattern
 the active diagonals agreed on (or, with a single active diagonal, that
-the shifted characters still match).  A failed check is located exactly
+the shifted characters still match).  The sampled rows depend on the row
+stream alone, so it checks them a block at a time in numpy, with the
+reads and draws of a row-by-row check.  A failed check is located exactly
 by binary search, the diagonals that must pay are charged, and the tester
 falls back to contiguous mode, scanning row by row with the potency rule
 until the active set goes quiet again.
@@ -28,18 +30,20 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .alignment import DIAG_DOWN, DIAG_UP, SUBSTITUTION, SuccinctAlignment
 from .periodicity import (
     PeriodState,
     find_period_transition,
     mismatched_diagonals,
     probe_diagonal,
-    row_deviates,
 )
-from .qstring import as_queried, bytes_match, ledger_snapshot
-from .sampled import check_parameters, gap_sampler, geometric_gap, sampling_rate
-# is_potent is called by advance_row, not here; it stays bound in this module
-# because profiling harnesses rebind the tester's names by module attribute.
+# row_deviates and is_potent are called by the transition search and by
+# advance_row, not here; profiling harnesses rebind them in this module.
+from .periodicity import row_deviates  # noqa: F401
+from .qstring import as_queried, ledger_snapshot
+from .sampled import GapStream, check_parameters, gap_sampler, geometric_gap, sampling_rate
 from .scan import CostArray, advance_row, is_potent  # noqa: F401
 from .verdict import Answer, Verdict
 
@@ -76,23 +80,31 @@ class RunStats:
     events: list[tuple[int, int, str]] = field(default_factory=list)
 
 
+FIRST_BLOCK, LAST_BLOCK = 64, 4096  # rows per block: 64 in a new regime, doubling to 4096
+
+
 @dataclass
 class ModeState:
     """Mutable state threaded through the per-row rounds.
 
     draw_gap draws the gap to the next sampled row, draw_probe_gap the gap
     to the next probed row; each is the one sampler of its random stream.
+    The walk stops at row end.  block is the next block's row count; ahead
+    holds the rows to hop to, popped from the end, then None if one fails.
     """
 
     sampling: bool
     i: int
+    end: int
     diagonals: list[int]
     costs: CostArray
     period: PeriodState | None
     quiet_rows: int
-    draw_gap: Callable[[], int]
+    draw_gap: GapStream
     draw_probe_gap: Callable[[], int]
     stats: RunStats
+    block: int = FIRST_BLOCK
+    ahead: list[int | None] = field(default_factory=list)
     rep_d: int = 0
     seg_start: int = 0
 
@@ -112,11 +124,12 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
     return ModeState(
         sampling=True,
         i=geometric_gap(rate, rng_rows) - 1,
+        end=n,
         diagonals=[0],
         costs=CostArray(cfg.t),
         period=None,
         quiet_rows=0,
-        draw_gap=gap_sampler(rate, rng_rows),
+        draw_gap=GapStream(rate, rng_rows),
         draw_probe_gap=gap_sampler(rate, rng_probe),
         stats=RunStats(),
     )
@@ -156,8 +169,46 @@ def contiguous_round(state: ModeState, x, y) -> None:
         else:
             state.period = None
         state.sampling = True
+        state.block = FIRST_BLOCK
         stats.mode_transitions += 1
         state.i = state.i - 1 + state.draw_gap()
+
+
+def _check_block(state: ModeState, x, y) -> list[int | None]:
+    """Check the next block of sampled rows from state.i; return state.ahead.
+
+    Up to the first failing row before state.end, x is charged at every
+    row and y wherever x kept the period pattern, as the row-by-row check
+    reads them; each passing row takes its gap from the stream.  Arrays
+    span the whole block and are cut by slicing: numpy caches freed small
+    buffers per size, and few sizes keep that cache small.
+    """
+    size = state.block
+    state.block = min(2 * size, LAST_BLOCK)
+    # A gap past the end is cut to it, which keeps the running sums far
+    # from overflow; such a row ends the walk either way.
+    rows = np.cumsum(np.minimum(state.draw_gap.peek(size), state.end)) + state.i
+    rows = np.concatenate(([state.i], rows))
+    block = rows[:size]
+    cx = x.look(block)
+    period = state.period
+    if period is None:
+        ys = block + state.diagonals[0]
+        x_broke = np.zeros(size, dtype=bool)
+        fails = (cx < 0) | (cx != y.look(ys))
+    else:
+        ys = block + period.d_max
+        c = np.frombuffer(period.p, dtype=np.uint8)[(block - period.i_pat) % period.g]
+        cy = y.look(ys)
+        x_broke = (cx >= 0) & (cx != c)
+        fails = x_broke | ((cy >= 0) & (cy != c))
+    live = int(np.searchsorted(block, state.end))
+    k = int(np.argmax(fails[:live])) if fails[:live].any() else live
+    used = min(k + 1, live)
+    x.charge(block[:used])
+    y.charge(ys[:used - bool(k < live and x_broke[k])])
+    state.draw_gap.skip(k)
+    return ([None] if k < live else []) + rows[k:0:-1].tolist()
 
 
 def sampling_round(state: ModeState, x, y) -> bool:
@@ -165,26 +216,26 @@ def sampling_round(state: ModeState, x, y) -> bool:
 
     With a captured period (several active diagonals), verify the period
     pattern at this row (x directly, y along the highest diagonal); with
-    one diagonal, compare the shifted characters.  A pass hops to the next
-    sampled row, drawn from state.draw_gap, and returns False: it changes
-    no cost counter and no diagonal.  A failure charges the lone diagonal,
-    or, with a period, pins down the transition row by binary search,
-    charges every diagonal with a direct mismatch in the transition window
-    and probes the uncharged survivors on an independent sample stream.
+    one diagonal, compare the shifted characters; the first row of a block
+    checks the whole block (_check_block).  A pass hops to the next sampled
+    row and returns False: it changes no cost counter and no diagonal.  A
+    failure charges the lone diagonal, or, with a period, pins down the
+    transition row by binary search, charges every diagonal with a direct
+    mismatch in the transition window and probes the uncharged survivors
+    on an independent sample stream.
     The charged diagonals spread to their neighbours, the tester drops
     back to contiguous mode on the next row, and the round returns True.
     """
+    state.stats.sampled_rows += 1
+    if not state.ahead:
+        state.ahead = _check_block(state, x, y)
+    nxt = state.ahead.pop()
+    if nxt is not None:
+        state.i = nxt
+        return False
     period = state.period
     rs = state.i
     stats = state.stats
-    stats.sampled_rows += 1
-    if period is None:
-        passed = bytes_match(x.read(rs), y.read(rs + state.diagonals[0]))
-    else:
-        passed = not row_deviates(x, y, period, rs)
-    if passed:
-        state.i = rs + state.draw_gap()
-        return False
     costs = state.costs
     t = costs.t
     diags = state.diagonals
@@ -266,7 +317,7 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
     state = initial_state(x, y, cfg)
     stats = state.stats
     answer = Answer.CLOSE
-    while state.i < n:
+    while state.i < state.end:
         if not state.sampling:
             contiguous_round(state, x, y)
         elif not sampling_round(state, x, y):
@@ -277,8 +328,8 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
     alignment = None
     if answer is Answer.CLOSE:
         if state.rep_d != 0:
-            _move_representative(state, 0, n)
-        stats.segments.append((state.seg_start, n, state.rep_d))
+            _move_representative(state, 0, state.end)
+        stats.segments.append((state.seg_start, state.end, state.rep_d))
         alignment = SuccinctAlignment(segments=tuple(stats.segments),
                                       events=tuple(stats.events))
     return Verdict(

@@ -7,6 +7,8 @@ ref_cost_table is the vectorized full DP over the whole grid, for pairs
 too long for the plain loop, and ref_optimal_alignment is its traceback
 with a fixed tie-break.  ref_banded_costs and ref_potent_sets are the
 pure-Python references for the banded grid the selective scan walks.
+ref_sampling_round is the main tester's row-by-row sampled-row check,
+the reference for its block check.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from hypothesis import strategies as st
 
 import gaped.scan
 from gaped.alignment import DIAG_DOWN, DIAG_UP, SUBSTITUTION, SuccinctAlignment
-from gaped.qstring import as_queried
+from gaped.periodicity import (
+    find_period_transition,
+    mismatched_diagonals,
+    probe_diagonal,
+    row_deviates,
+)
+from gaped.qstring import as_queried, bytes_match
 from gaped.scan import CostArray, advance_row
 
 INF = 1 << 28  # cost of a missing cell in the banded reference tables
@@ -266,3 +274,49 @@ def ref_potent_sets(x: bytes, y: bytes, t: int) -> list[set[int]]:
         table.append(potent)
         prev_potent = potent
     return table
+
+
+def ref_sampling_round(state, x, y) -> bool:
+    """gaped.tester.sampling_round checking one row per call.
+
+    Each row reads x, then y unless x already broke the period pattern,
+    and each passing row draws its gap from state.draw_gap on the spot.
+    """
+    period = state.period
+    rs = state.i
+    stats = state.stats
+    stats.sampled_rows += 1
+    if period is None:
+        passed = bytes_match(x.read(rs), y.read(rs + state.diagonals[0]))
+    else:
+        passed = not row_deviates(x, y, period, rs)
+    if passed:
+        state.i = rs + state.draw_gap()
+        return False
+    costs = state.costs
+    t = costs.t
+    diags = state.diagonals
+    if period is None:
+        charged = {diags[0]}
+    else:
+        stats.search_rows.append(rs)
+        j = find_period_transition(x, y, period, rs)
+        charged = mismatched_diagonals(x, y, j + 1, j + 1 + period.m, diags)
+        uncharged = [d for d in diags if d not in charged]
+        for d in uncharged:
+            if probe_diagonal(x, y, d, period.i_pat, rs, state.draw_probe_gap):
+                charged.add(d)
+    live = set(diags)
+    for d in diags:
+        costs.mark_potent(d, rs)
+    for d in sorted(charged):
+        costs.charge(d, rs)
+        stats.events.append((rs, d, SUBSTITUTION))
+        live.update(dd for dd in (d - 1, d + 1) if -t <= dd <= t)
+    state.diagonals = sorted(live)
+    state.period = None
+    state.sampling = False
+    stats.mode_transitions += 1
+    state.quiet_rows = 0
+    state.i = rs + 1
+    return True

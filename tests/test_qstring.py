@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -141,3 +142,40 @@ def test_ledger_matches_direct_count(data, indices):
     assert s.distinct == len(set(in_range))
     assert s.positions_read() == sorted(set(in_range))
 
+
+
+@given(
+    data=st.binary(min_size=0, max_size=40),
+    before=st.lists(st.integers(min_value=-5, max_value=50), max_size=30),
+    batches=st.lists(st.sets(st.integers(min_value=-5, max_value=50), max_size=30),
+                     max_size=5),
+)
+def test_batched_charge_equals_reads_one_at_a_time(data, before, batches):
+    # Positions are distinct within one charge; they repeat across
+    # charges and overlap the scalar reads made first.
+    batched, scalar = QueriedString(data), QueriedString(data)
+    for i in before:
+        batched.read(i)
+        scalar.read(i)
+    for batch in batches:
+        positions = np.array(sorted(batch), dtype=np.int64)
+        assert batched.look(positions).tolist() == [
+            data[i] if 0 <= i < len(data) else -1 for i in positions]
+        batched.charge(positions)
+        for i in positions.tolist():
+            scalar.read(i)
+        assert (batched.distinct, batched.total) == (scalar.distinct, scalar.total)
+    assert batched.positions_read() == scalar.positions_read()
+
+
+def test_look_is_uncharged_and_out_of_range_is_never_charged():
+    s = QueriedString(b"abcd")
+    positions = np.array([-3, -1, 0, 2, 4, 9], dtype=np.int64)
+    assert s.look(positions).tolist() == [-1, -1, ord("a"), ord("c"), -1, -1]
+    assert (s.distinct, s.total, s.positions_read()) == (0, 0, [])
+    s.charge(positions)
+    assert (s.distinct, s.total, s.positions_read()) == (2, 2, [0, 2])
+    empty = QueriedString(b"")
+    empty.charge(positions)
+    assert empty.look(positions).tolist() == [-1] * 6
+    assert (empty.distinct, empty.total) == (0, 0)

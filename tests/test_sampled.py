@@ -12,6 +12,7 @@ from conftest import Boom, mutate, random_bytes, ref_edit_distance
 from gaped.generators import gen_random_edits
 from gaped.qstring import QueriedString
 from gaped.sampled import (
+    GapStream,
     SampledGrid,
     gap_sampler,
     geometric_gap,
@@ -70,6 +71,74 @@ def test_gap_sampler_rate_one_consumes_nothing_and_bad_rates_fail_at_build():
             gap_sampler(rate, Boom())
         with pytest.raises(ValueError):
             geometric_gap(rate, Boom())
+
+
+def _stream_walk(stream, steps):
+    """Gaps shown and taken by peek(k), skip(j) and single calls, in order."""
+    shown, taken = [], []
+    for k, j, singles in steps:
+        ahead = stream.peek(k).tolist()
+        shown.append(ahead)
+        stream.skip(j)
+        taken += ahead[:j]
+        taken += [stream() for _ in range(singles)]
+    return shown, taken
+
+
+@given(rate=st.one_of(st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
+                      st.floats(min_value=1.0, max_value=1e6)),
+       seed=st.integers(min_value=0, max_value=2**32),
+       steps=st.lists(st.tuples(st.integers(min_value=0, max_value=600),
+                                st.integers(min_value=0, max_value=600),
+                                st.integers(min_value=0, max_value=3)), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_gap_stream_equals_gap_sampler_draw_for_draw(rate, seed, steps):
+    steps = [(k, min(j, k), singles) for k, j, singles in steps]
+    shown, taken = _stream_walk(GapStream(rate, random.Random(seed)), steps)
+    draw = gap_sampler(rate, random.Random(seed))
+    expected = [draw() for _ in range(sum(k + singles for k, _, singles in steps))]
+    at = 0
+    for (k, j, singles), ahead in zip(steps, shown):
+        assert ahead == expected[at:at + k]
+        at += j + singles
+    assert taken == expected[:at]
+
+
+class _Scripted:
+    """An rng whose random() returns the given values in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def test_gap_stream_takes_near_integer_quotients_again_with_math_log():
+    # With 1 - u = (1 - rate)^k the quotient log(1 - u) / log(1 - rate) is
+    # k up to rounding, so the numpy block must hand it to math.log.  The
+    # fourth value is one where np.log has been seen to truncate
+    # differently from math.log inside a block.
+    for rate in (0.05, 0.1, 0.25, 0.5, 0.74, 0.9):
+        values = [1.0 - (1.0 - rate) ** k for k in range(1, 400)
+                  if (1.0 - rate) ** k > 1e-3]
+        values = values[:3] + [0.5123250208844704] + values[3:] * 20
+        q = np.log(1.0 - np.array(values)) / math.log(1.0 - rate)
+        assert np.sum(np.abs(q - np.rint(q)) <= 1e-9 * q) >= len(values) - 1, rate
+        draw = gap_sampler(rate, _Scripted(values))
+        expected = [draw() for _ in values]
+        assert GapStream(rate, _Scripted(values)).peek(len(values)).tolist() == expected
+
+
+def test_gap_stream_rate_one_consumes_nothing_and_bad_rates_fail_at_build():
+    for rate in (1.0, 2.5):
+        stream = GapStream(rate, Boom())
+        assert stream.peek(64).tolist() == [1] * 64
+        stream.skip(10)
+        assert [stream() for _ in range(60)] == [1] * 60
+    for rate in (0.0, -0.5, 1e-20, float("nan")):
+        with pytest.raises(ValueError):
+            GapStream(rate, Boom())
 
 
 def test_geometric_gap_mean_matches_rate():

@@ -2,12 +2,15 @@
 
 import hashlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaped.tester
-from conftest import mutate, random_bytes
+from conftest import mutate, periodic_pairs, random_bytes, ref_sampling_round
 from gaped.alignment import SUBSTITUTION, validate_alignment
 from gaped.generators import gen_independent_random, gen_periodic_splice, gen_random_edits
 from gaped.oracle import edit_distance
@@ -225,6 +228,50 @@ def test_one_round_call_per_counted_row(monkeypatch):
         assert s.sampled_rows > 0, kw
         assert calls == {"sampling_round": s.sampled_rows,
                          "contiguous_round": s.contiguous_rows}, kw
+
+
+@st.composite
+def _tester_pairs(draw):
+    """Periodic bases with a few edits, periodic splices and random edits."""
+    kind = draw(st.sampled_from(["periodic", "splice", "edits"]))
+    seed = draw(st.integers(min_value=0, max_value=1 << 20))
+    if kind == "periodic":
+        x, y = draw(periodic_pairs(max_g=4, max_sigma=3, max_edits=10))
+    elif kind == "splice":
+        g = draw(st.sampled_from([2, 4, 6]))
+        k = draw(st.integers(min_value=0, max_value=4))
+        n = draw(st.integers(min_value=(k + 2) * (6 * g + 48) if k else 16, max_value=3000))
+        x, y = gen_periodic_splice(n, g, k, seed=seed, y_only=draw(st.booleans()),
+                                   sigma=draw(st.integers(min_value=2, max_value=8)))
+    else:
+        n = draw(st.integers(min_value=1, max_value=3000))
+        x, y = gen_random_edits(n, draw(st.integers(min_value=0, max_value=min(n, 12))),
+                                seed=seed)
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+def _fingerprint(x, y, cfg):
+    qx, qy = QueriedString(x), QueriedString(y)
+    v = run(qx, qy, cfg)
+    s = v.stats
+    return (v.answer, v.final_a0, v.ledger, v.mode_transitions, s.sampled_rows,
+            s.contiguous_rows, s.search_rows, s.segments, s.events, qx.total, qy.total,
+            qx.positions_read(), qy.positions_read())
+
+
+@pytest.mark.filterwarnings("ignore:t=.*exceeds sqrt")
+@given(pair=_tester_pairs(), t=st.integers(min_value=1, max_value=16),
+       c_s=st.sampled_from([0.05, 0.3, 1.0, 3.0]), epsilon=st.sampled_from([0.0, 0.5]),
+       seed=st.integers(min_value=0, max_value=1 << 30))
+@settings(max_examples=300, deadline=None)
+def test_block_check_matches_the_row_by_row_check(pair, t, c_s, epsilon, seed):
+    # The block check must make the row-by-row check's draws and reads:
+    # same rows, same ledgers down to the positions, same outcome.
+    x, y = pair
+    cfg = TesterConfig(t=t, epsilon=epsilon, c_s=c_s, seed=seed)
+    with mock.patch.object(gaped.tester, "sampling_round", ref_sampling_round):
+        expected = _fingerprint(x, y, cfg)
+    assert _fingerprint(x, y, cfg) == expected
 
 
 def test_a_probe_that_finds_a_mismatch_charges_its_diagonal(monkeypatch):
