@@ -7,8 +7,10 @@ costs only the single character indicator at the departure row; that makes
 the path cost a lower bound on any alignment routed through the sampled
 rows, so answers of close are never wrong for inputs within the gap.
 
-Queries are asymmetric by design: x is read once per sampled row, while y
-reads fan out across the band, so only x enjoys the sublinear bound here.
+The path is priced by diagonal transition; a cost above t is returned as
+t + 1.  The ledger is the band scan's: x is read once per sampled row,
+while y reads fan out across the band, so only x enjoys the sublinear
+bound here.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstring import as_queried, bytes_match, ledger_snapshot
+from .qstring import as_queried, ledger_snapshot
 from .verdict import Answer, Verdict
-
-_INF = 1 << 28
 
 
 def check_parameters(t, c_s) -> None:
@@ -176,50 +176,49 @@ class SampledGrid:
 def shortest_path_cost(grid: SampledGrid, x, y) -> int:
     """Min-cost path from (0, diagonal 0) to the sink past the last row.
 
-    Per sampled row, in diagonal order: an insertion edge to the next
-    diagonal in the same row costs 1, staying on the diagonal to the next
-    sampled row costs the mismatch indicator of the departure row's
-    characters, and stepping down a diagonal to the next sampled row costs
-    1.  From the last sampled row the sink charges the diagonal distance
-    to the finishing diagonal.  Insertion edges are skipped on the last
-    row; the sink edges subsume them.
+    Per sampled row: an insertion edge to the next diagonal in the same
+    row costs 1, staying on the diagonal to the next sampled row costs the
+    mismatch indicator of the departure row's characters, and stepping
+    down a diagonal to the next sampled row costs 1.  From the last sampled
+    row the sink charges the distance to the finishing diagonal.  Costs
+    above t are returned as t + 1.
 
-    Once every cell of a row costs more than t the final cost must too
-    (edge weights are nonnegative), so the scan stops there and returns
-    that row's minimum.  Values at most t are always exact; values above
-    t are certified lower bounds only.
+    Diagonal transition (Ukkonen 1985; Landau, Myers and Schmidt 1998):
+    far[d] is the furthest sampled-row index diagonal d reaches at cost
+    <= k, taken as the best of a stay, a step down from d + 1 and an
+    insertion from d - 1, then slid while x[rows[r]] == y[rows[r] + d].
+    The slide compares uncharged; the ledger is then charged with the band
+    scan's reads: x and y on diagonals max(-t, -idx) <= d <= t at each
+    sampled row idx before the last and before the first row whose every
+    cell costs more than t.
     """
     x, y = as_queried(x), as_queried(y)
     if grid.n != len(x):
         raise ValueError("grid was built for a different row count")
-    t = grid.t
-    width = 2 * t + 1
-    d_end = len(y) - len(x)
-    dist = [_INF] * width
-    dist[t] = 0
-    rows = grid.rows
-    for idx, r in enumerate(rows):
-        if idx == len(rows) - 1:
+    t, rows = grid.t, grid.rows
+    last, d_end = len(rows) - 1, len(y) - len(x)
+    xs, ys, ny = x.data, y.data, len(y)
+
+    def slide(r: int, d: int) -> int:  # rows[r] >= -d, so y is never read from its end
+        while r < last and rows[r] + d < ny and xs[rows[r]] == ys[rows[r] + d]:
+            r += 1
+        return r
+
+    far, best, k = {0: slide(0, 0)}, t + 1, 0
+    while True:
+        best = min([best] + [k + abs(d - d_end) for d, r in far.items() if r == last])
+        if best <= k + 1:
             break
-        for k in range(1, width):
-            if dist[k - 1] + 1 < dist[k]:
-                dist[k] = dist[k - 1] + 1
-        nxt = [_INF] * width
-        xc = x.read(r)
-        for k in range(width):
-            dv = dist[k]
-            if dv >= _INF:
-                continue
-            w = 0 if bytes_match(xc, y.read(r + k - t)) else 1
-            if dv + w < nxt[k]:
-                nxt[k] = dv + w
-            if k > 0 and dv + 1 < nxt[k - 1]:
-                nxt[k - 1] = dv + 1
-        dist = nxt
-        floor = min(dist)
-        if floor > t:
-            return floor
-    return min(dv + abs(k - t - d_end) for k, dv in enumerate(dist) if dv < _INF)
+        k += 1
+        # every |d| <= min(t, k) has a reached neighbour; -1 marks the rest
+        far = {d: slide(min(last, max(far.get(d, -1) + 1, far.get(d + 1, -1) + 1,
+                                      far.get(d - 1, -1))), d)
+               for d in range(-min(t, k), min(t, k) + 1)}
+    at = np.array(rows[:min(max(far.values()), last - 1) + 1], dtype=np.int64)
+    x.charge(at)
+    for d in range(-min(t, len(at)), min(t, ny) + 1):
+        y.charge(at[max(0, -d):] + d)
+    return best
 
 
 def run_sampled_tester(x, y, t: int, c_s: float, rng) -> Verdict:
@@ -237,4 +236,4 @@ def run_sampled_tester(x, y, t: int, c_s: float, rng) -> Verdict:
     grid = SampledGrid(rows=tuple(sample_rows(n, t, c_s, rng)), t=t, n=n)
     cost = shortest_path_cost(grid, x, y)
     answer = Answer.CLOSE if cost <= t else Answer.FAR
-    return Verdict(answer, min(cost, t + 1), ledger_snapshot(x, y), 0)
+    return Verdict(answer, cost, ledger_snapshot(x, y), 0)

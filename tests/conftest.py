@@ -8,7 +8,9 @@ too long for the plain loop, and ref_optimal_alignment is its traceback
 with a fixed tie-break.  ref_banded_costs and ref_potent_sets are the
 pure-Python references for the banded grid the selective scan walks.
 ref_sampling_round is the main tester's row-by-row sampled-row check,
-the reference for its block check.
+the reference for its block check, and ref_shortest_path_cost is the
+warm-up tester's band scan over the sampled rows, the reference for its
+diagonal transition.
 """
 
 from __future__ import annotations
@@ -320,3 +322,42 @@ def ref_sampling_round(state, x, y) -> bool:
     state.quiet_rows = 0
     state.i = rs + 1
     return True
+
+
+def ref_shortest_path_cost(grid, x, y) -> int:
+    """gaped.sampled.shortest_path_cost as a scan over rows x (2t + 1) diagonals.
+
+    Each row relaxes its insertion edges, then reads x at the row and y on
+    every reached diagonal to step to the next sampled row.  The scan stops
+    once every cell of a row costs more than t and returns that row's
+    minimum, so values above t are lower bounds only; compare them capped
+    at t + 1.  Insertion edges are skipped on the last row; the sink edges
+    subsume them.
+    """
+    x, y = as_queried(x), as_queried(y)
+    t = grid.t
+    width = 2 * t + 1
+    d_end = len(y) - len(x)
+    dist = [INF] * width
+    dist[t] = 0
+    rows = grid.rows
+    for r in rows[:-1]:
+        for k in range(1, width):
+            if dist[k - 1] + 1 < dist[k]:
+                dist[k] = dist[k - 1] + 1
+        nxt = [INF] * width
+        xc = x.read(r)
+        for k in range(width):
+            dv = dist[k]
+            if dv >= INF:
+                continue
+            w = 0 if bytes_match(xc, y.read(r + k - t)) else 1
+            if dv + w < nxt[k]:
+                nxt[k] = dv + w
+            if k > 0 and dv + 1 < nxt[k - 1]:
+                nxt[k - 1] = dv + 1
+        dist = nxt
+        floor = min(dist)
+        if floor > t:
+            return floor
+    return min(dv + abs(k - t - d_end) for k, dv in enumerate(dist) if dv < INF)

@@ -81,15 +81,18 @@ def test_run_oracle_report_equals_the_full_dp_answer(pair, tmp_path):
 
 
 def test_run_oracle_threshold_past_both_lengths(tmp_path):
-    # the oracle's work is sized by the input, not by -t
+    # the work is sized by the input, not by -t; at this t the warm-up
+    # tester keeps row 0 alone and prices the path without a read
     xp, yp = tmp_path / "x.bin", tmp_path / "y.bin"
     xp.write_bytes(b"abcdefghij")
     yp.write_bytes(b"abcdXfghij")
-    code, out = run_cli(["run", "--algo", "oracle", "--x", str(xp), "--y", str(yp),
-                         "-t", "100000000000"])
-    assert code == 0
-    rep = json.loads(out)
-    assert (rep["verdict"], rep["final_a0"]) == ("close", 1)
+    for algo, final_a0, reads in (("oracle", 1, 20), ("sampled", 0, 0)):
+        code, out = run_cli(["run", "--algo", algo, "--x", str(xp), "--y", str(yp),
+                             "-t", "100000000000"])
+        assert code == 0, algo
+        rep = json.loads(out)
+        assert (rep["verdict"], rep["final_a0"]) == ("close", final_a0)
+        assert rep["distinct_x"] + rep["distinct_y"] == reads
 
 
 def test_run_csv_header_matches_report_fields(pair):

@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Boom, mutate, random_bytes, ref_edit_distance
-from gaped.generators import gen_random_edits
+from conftest import (
+    Boom,
+    mutate,
+    periodic_pairs,
+    random_bytes,
+    ref_edit_distance,
+    ref_shortest_path_cost,
+)
+from gaped.generators import gen_certified_far, gen_random_edits
 from gaped.qstring import QueriedString
 from gaped.sampled import (
     GapStream,
@@ -230,6 +237,47 @@ def test_dense_grid_shortest_path_is_the_edit_distance():
             assert cost > t
 
 
+@st.composite
+def warm_up_grids(draw):
+    """(x, y, grid): a periodic or random pair on a sampled, dense or one-row grid."""
+    if draw(st.booleans()):
+        x, y = draw(periodic_pairs(max_g=4, max_sigma=4, max_edits=12))
+    else:
+        rng = random.Random(draw(st.integers(min_value=0, max_value=1 << 30)))
+        alpha = b"abcd"[:draw(st.integers(min_value=1, max_value=4))]
+        x = random_bytes(rng, draw(st.integers(min_value=0, max_value=300)), alpha)
+        if draw(st.booleans()):
+            y = mutate(rng, x, draw(st.integers(min_value=0, max_value=12)))
+        else:
+            y = random_bytes(rng, draw(st.integers(min_value=0, max_value=300)), alpha)
+    t = draw(st.integers(min_value=1, max_value=40))
+    n = len(x)
+    kind = draw(st.sampled_from(("dense", "one row", 0.05, 0.3, 1.0, 3.0)))
+    if kind == "dense":
+        rows = range(n + 1)
+    elif kind == "one row":
+        rows = (0,)
+    else:
+        seed = draw(st.integers(min_value=0, max_value=1 << 30))
+        rows = sample_rows(n, t, kind, random.Random(seed))
+    return x, y, SampledGrid(rows=tuple(rows), t=t, n=n)
+
+
+def _priced(price, x, y, grid):
+    """The capped cost, the ledgers and the positions read of one pricing."""
+    qx, qy = QueriedString(x), QueriedString(y)
+    cost = min(price(grid, qx, qy), grid.t + 1)
+    return (cost, qx.distinct, qy.distinct, qx.total, qy.total,
+            qx.positions_read(), qy.positions_read())
+
+
+@given(case=warm_up_grids())
+@settings(max_examples=300, deadline=None)
+def test_shortest_path_cost_matches_the_band_scan(case):
+    x, y, grid = case
+    assert _priced(shortest_path_cost, x, y, grid) == _priced(ref_shortest_path_cost, x, y, grid)
+
+
 # ---------------------------------------------------------------------------
 # tester verdicts
 
@@ -287,6 +335,12 @@ def test_warm_up_ledgers_are_pinned():
     assert ledger(x, y, 8, 3.0, 2) == ("close", 3, 4096, 4097, 73664)
     x, y = gen_random_edits(1 << 14, 32, seed=5)  # rate ~0.076
     assert ledger(x, y, 64, 0.5, 7) == ("close", 22, 1275, 16386, 163565)
+    x, y, _ = gen_certified_far(4096, 8, 3)  # ED > 832: the scan stops after 13 rows
+    assert ledger(x, y, 8, 3.0, 1) == ("far", 9, 13, 21, 198)
+    x, _ = gen_random_edits(4096, 0, seed=11)
+    y = x[:1000] + b"abc" + x[1000:2000] + b"d" + x[2001:]  # |y| - |x| = 3
+    assert ledger(x, y, 8, 3.0, 4) == ("close", 4, 4096, 4099, 73677)
+    assert ledger(y, x, 8, 3.0, 4) == ("close", 4, 4099, 4096, 73680)
 
 
 def test_length_gap_shortcircuits_without_reads():
