@@ -75,14 +75,21 @@ class GapStream:
     as an int64 array without taking them, and skip(k) takes k of them.
     The gaps equal gap_sampler's draw for draw, and a stream that is only
     called draws as gap_sampler does; peek draws ahead, so use it only on
-    an rng that nothing else draws from.  np.log may differ from math.log
-    in the last ulp, which moves a truncated quotient only next to an
-    integer, so those within 1e-9 (relative) of one are taken again.
+    an rng that nothing else draws from.
+
+    peek draws its k uniforms at once from rng.getrandbits(64 * k).  Each
+    64-bit little-endian word holds the two 32-bit Mersenne Twister words
+    one random() call consumes, first word low, and random() is
+    ((w1 >> 5) * 2**26 + (w2 >> 6)) * 2**-53, so the uniforms equal k
+    random() calls bit for bit and leave rng in the same state.  np.log
+    may differ from math.log in the last ulp, which moves a truncated
+    quotient only next to an integer, so those within 1e-9 (relative) of
+    one are taken again.
     """
 
     def __init__(self, rate: float, rng):
         self._draw = gap_sampler(rate, rng)  # rejects a bad rate
-        self._rate, self._random = rate, rng.random
+        self._rate, self._getrandbits = rate, rng.getrandbits
         self._gaps = np.empty(0, dtype=np.int64)
         self._at = 0
 
@@ -97,8 +104,9 @@ class GapStream:
             # k draws, not the shortfall: numpy caches small buffers per size.
             fresh = np.ones(k, dtype=np.int64)
             if self._draw is not every_row:
-                random, log_q = self._random, math.log(1.0 - self._rate)
-                u = np.array([random() for _ in range(k)])
+                log_q = math.log(1.0 - self._rate)
+                w = np.frombuffer(self._getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
+                u = (((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38)) * 2.0**-53
                 q = np.log(1.0 - u) / log_q
                 fresh += q.astype(np.int64)
                 near = np.abs(q - np.rint(q)) <= 1e-9 * np.maximum(q, 1.0)

@@ -69,7 +69,11 @@ class TesterConfig:
 
 @dataclass
 class RunStats:
-    """Counters and event log accumulated over one run."""
+    """Counters and event log accumulated over one run.
+
+    sampled_rows counts each sampled row once: a block check adds the
+    rows it queued, and one sampling_round call takes each of them.
+    """
 
     mode_transitions: int = 0
     contiguous_rows: int = 0
@@ -83,7 +87,7 @@ class RunStats:
 FIRST_BLOCK, LAST_BLOCK = 64, 4096  # rows per block: 64 in a new regime, doubling to 4096
 
 
-@dataclass
+@dataclass(slots=True)
 class ModeState:
     """Mutable state threaded through the per-row rounds.
 
@@ -91,6 +95,8 @@ class ModeState:
     to the next probed row; each is the one sampler of its random stream.
     The walk stops at row end.  block is the next block's row count; ahead
     holds the rows to hop to, popped from the end, then None if one fails.
+    Each entry is popped by its own sampling_round call, one per sampled
+    row, so stats.sampled_rows grows by len(ahead) once per block.
     """
 
     sampling: bool
@@ -187,8 +193,11 @@ def _check_block(state: ModeState, x, y) -> list[int | None]:
     state.block = min(2 * size, LAST_BLOCK)
     # A gap past the end is cut to it, which keeps the running sums far
     # from overflow; such a row ends the walk either way.
-    rows = np.cumsum(np.minimum(state.draw_gap.peek(size), state.end)) + state.i
-    rows = np.concatenate(([state.i], rows))
+    gaps = np.minimum(state.draw_gap.peek(size), state.end)
+    gaps[0] += state.i
+    rows = np.empty(size + 1, dtype=np.int64)
+    rows[0] = state.i
+    np.cumsum(gaps, out=rows[1:])
     block = rows[:size]
     cx = x.look(block)
     period = state.period
@@ -226,10 +235,11 @@ def sampling_round(state: ModeState, x, y) -> bool:
     The charged diagonals spread to their neighbours, the tester drops
     back to contiguous mode on the next row, and the round returns True.
     """
-    state.stats.sampled_rows += 1
-    if not state.ahead:
-        state.ahead = _check_block(state, x, y)
-    nxt = state.ahead.pop()
+    ahead = state.ahead
+    if not ahead:
+        ahead = state.ahead = _check_block(state, x, y)
+        state.stats.sampled_rows += len(ahead)  # one call pops each entry
+    nxt = ahead.pop()
     if nxt is not None:
         state.i = nxt
         return False
@@ -317,11 +327,13 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
     state = initial_state(x, y, cfg)
     stats = state.stats
     answer = Answer.CLOSE
-    while state.i < state.end:
-        if not state.sampling:
+    end = state.end
+    while state.i < end:
+        if state.sampling:
+            if not sampling_round(state, x, y):
+                continue  # a passing row changes no cost and no diagonal
+        else:
             contiguous_round(state, x, y)
-        elif not sampling_round(state, x, y):
-            continue  # a passing row changes no cost and no diagonal
         if state.costs.cost(0) > t or not state.diagonals:
             answer = Answer.FAR
             break

@@ -208,6 +208,9 @@ class Boom:
     def random(self):
         raise AssertionError("rate 1 must not consume randomness")
 
+    def getrandbits(self, bits):
+        raise AssertionError("rate 1 must not consume randomness")
+
 
 def ref_banded_costs(x: bytes, y: bytes, t: int) -> list[list[int]]:
     """Costs of the band-restricted grid the selective scan walks.

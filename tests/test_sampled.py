@@ -111,8 +111,32 @@ def test_gap_stream_equals_gap_sampler_draw_for_draw(rate, seed, steps):
     assert taken == expected[:at]
 
 
+@given(rate=st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
+       seed=st.integers(min_value=0, max_value=2**32),
+       k=st.one_of(st.sampled_from([1, 2, 3, 63, 64, 65, 4096]),
+                   st.integers(min_value=1, max_value=5000)))
+@settings(max_examples=150, deadline=None)
+def test_gap_stream_block_draw_equals_single_draws(rate, seed, k):
+    # peek(k) decodes k random() values from one getrandbits call; the
+    # gaps must be gap_sampler's and the rng must end where k random()
+    # calls leave it.
+    blocked, single, plain = (random.Random(seed) for _ in range(3))
+    got = GapStream(rate, blocked).peek(k).tolist()
+    draw = gap_sampler(rate, single)
+    assert got == [draw() for _ in range(k)]
+    for _ in range(k):
+        plain.random()
+    assert blocked.getstate() == plain.getstate() == single.getstate()
+
+
 class _Scripted:
-    """An rng whose random() returns the given values in order."""
+    """An rng whose draws take the given values, on random()'s 2**-53 grid, in order.
+
+    random() returns the next value; getrandbits(64 * k) encodes the next k
+    values as the two 32-bit words random() consumes for each, first word
+    low: the top 27 bits of the 53-bit mantissa shifted left by 5, then
+    the low 26 bits shifted left by 6.
+    """
 
     def __init__(self, values):
         self.values = iter(values)
@@ -120,16 +144,27 @@ class _Scripted:
     def random(self):
         return next(self.values)
 
+    def getrandbits(self, bits):
+        assert bits % 64 == 0
+        out = 0
+        for i in range(bits // 64):
+            m = int(next(self.values) * 2**53)
+            first, second = (m >> 26) << 5, (m & (2**26 - 1)) << 6
+            out |= (first | second << 32) << 64 * i
+        return out
+
 
 def test_gap_stream_takes_near_integer_quotients_again_with_math_log():
     # With 1 - u = (1 - rate)^k the quotient log(1 - u) / log(1 - rate) is
     # k up to rounding, so the numpy block must hand it to math.log.  The
     # fourth value is one where np.log has been seen to truncate
-    # differently from math.log inside a block.
+    # differently from math.log inside a block.  The values are rounded to
+    # the 2**-53 grid random() draws on, as the block draw decodes them.
     for rate in (0.05, 0.1, 0.25, 0.5, 0.74, 0.9):
         values = [1.0 - (1.0 - rate) ** k for k in range(1, 400)
                   if (1.0 - rate) ** k > 1e-3]
         values = values[:3] + [0.5123250208844704] + values[3:] * 20
+        values = [round(v * 2**53) * 2**-53 for v in values]
         q = np.log(1.0 - np.array(values)) / math.log(1.0 - rate)
         assert np.sum(np.abs(q - np.rint(q)) <= 1e-9 * q) >= len(values) - 1, rate
         draw = gap_sampler(rate, _Scripted(values))

@@ -17,6 +17,7 @@ from gaped.oracle import edit_distance
 from gaped.qstring import QueriedString
 from gaped.scan import selective_scan
 from gaped.tester import TesterConfig, run
+from gaped.verdict import Answer
 
 
 def _run(x, y, **kw):
@@ -205,29 +206,54 @@ def test_run_ledgers_are_pinned():
 def test_one_round_call_per_counted_row(monkeypatch):
     # A traced benchmark run reads one sampling_round span per sampled row
     # and one contiguous_round span per contiguous row; a loop that handled
-    # several rows in one call would break that silently.
+    # several rows in one call would break that silently.  sampled_rows is
+    # counted once per checked block, so the last two cases (found by
+    # fuzzing) end a run inside a block: a Close walk whose last block is
+    # cut at ModeState.end, and a Far stop right after a failed sampled row.
     calls = {"sampling_round": 0, "contiguous_round": 0}
+    last, blocks = [], []
     for name in calls:
         inner = getattr(gaped.tester, name)
 
         def counted(*args, _name=name, _inner=inner):
             calls[_name] += 1
-            return _inner(*args)
+            last[:] = [_name, _inner(*args)]
+            return last[1]
 
         monkeypatch.setattr(gaped.tester, name, counted)
+    check_block = gaped.tester._check_block
+
+    def recorded(state, x, y):
+        size = state.block
+        ahead = check_block(state, x, y)
+        blocks.append((size, len(ahead), ahead[0] is None))
+        return ahead
+
+    monkeypatch.setattr(gaped.tester, "_check_block", recorded)
     cases = [
-        (gen_periodic_splice(4096, 2, 5, seed=1, sigma=8), dict(t=16, c_s=1.0, seed=3)),
-        (gen_random_edits(1 << 14, 32, seed=5), dict(t=64, epsilon=0.5, c_s=0.5, seed=7)),
-        (gen_random_edits(4096, 3, seed=11), dict(t=8, seed=2)),  # rate 1
-        (gen_independent_random(4096, seed=3, sigma=8), dict(t=4, seed=1)),  # far
+        (gen_periodic_splice(4096, 2, 5, seed=1, sigma=8), dict(t=16, c_s=1.0, seed=3), None),
+        (gen_random_edits(1 << 14, 32, seed=5), dict(t=64, epsilon=0.5, c_s=0.5, seed=7), None),
+        (gen_random_edits(4096, 3, seed=11), dict(t=8, seed=2), None),  # rate 1
+        (gen_independent_random(4096, seed=3, sigma=8), dict(t=4, seed=1), None),  # far
+        (gen_random_edits(60, 2, seed=33523), dict(t=6, c_s=1.0, seed=53), "cut"),
+        (gen_random_edits(57, 4, seed=27743), dict(t=2, c_s=0.3, seed=88), "failed"),
     ]
-    for (x, y), kw in cases:
+    for (x, y), kw, ending in cases:
         for name in calls:
             calls[name] = 0
-        s = _run(x, y, **kw).stats
+        blocks.clear()
+        v = _run(x, y, **kw)
+        s = v.stats
         assert s.sampled_rows > 0, kw
         assert calls == {"sampling_round": s.sampled_rows,
                          "contiguous_round": s.contiguous_rows}, kw
+        if ending == "cut":
+            size, queued, failed = blocks[-1]
+            assert v.answer is Answer.CLOSE and last == ["sampling_round", False]
+            assert s.mode_transitions >= 2 and not failed and queued < size
+        elif ending == "failed":
+            assert v.answer is Answer.FAR and last == ["sampling_round", True]
+            assert blocks[-1][2]
 
 
 @st.composite
