@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .qstring import QueriedString
-from .sampled import every_row, kept_rows
+from .sampled import GapStream
 # geometric_gap is not called here; it stays bound in this module because
 # profiling harnesses rebind it by module attribute.
 from .sampled import geometric_gap  # noqa: F401
@@ -116,21 +118,41 @@ def mismatched_diagonals(x, y, lo: int, hi: int, diagonals):
     Only pairs with both reads in range count; rows truncated by a string
     boundary never charge, which can leave more than one diagonal
     uncharged near the end of the strings (the caller probes the extras
-    separately).
+    separately).  Rate-1 gaps draw nothing, so one stream serves them all.
     """
+    every_row = GapStream(1.0, None)
     return {d for d in diagonals if probe_diagonal(x, y, d, lo, hi, every_row)}
 
 
-def probe_diagonal(x, y, d: int, lo: int, hi: int, draw_gap) -> bool:
-    """Check the rows of [lo .. hi] that draw_gap keeps on diagonal d.
+def probe_diagonal(x, y, d: int, lo: int, hi: int, gaps: GapStream) -> bool:
+    """Check the rows of [lo .. hi] that the gaps keep on diagonal d.
 
-    True on the first mismatch.  The rows come from sampled.kept_rows, so
-    a probe stopped by a mismatch draws no further, and one that finds
-    none makes the draw that passes hi.  A rate-1 draw checks every row
-    without consuming randomness.  Out-of-range pairs are skipped.
+    True on the first mismatch.  The rows are lo - 1 plus the running
+    sums of the gaps, walked a block at a time (GapStream.rows) with
+    uncharged looks; only pairs with both reads in range count.  Each
+    block charges x and y at the in-range rows it checked, up to and
+    including a mismatch, and takes the gaps a row-by-row walk would
+    have drawn: one per row up to a mismatch, or, on a miss, one more
+    for the draw that passes hi.  A rate-1 stream draws nothing.
     """
     first, last = max(0, -d), min(len(x), len(y) - d) - 1
-    for j in kept_rows(lo, hi, draw_gap):
-        if first <= j <= last and x.read(j) != y.read(j + d):
+    r = lo - 1
+    while True:
+        rows = gaps.rows(r, hi + 1)[1:]
+        kept = int(np.searchsorted(rows, hi, side="right"))
+        a, b = np.searchsorted(rows[:kept], (first, last + 1)).tolist()
+        at = rows[a:b]
+        hit = x.look(at) != y.look(at + d)
+        found = bool(hit.any())
+        if found:
+            at = at[:int(np.argmax(hit)) + 1]
+        x.charge(at)
+        y.charge(at + d)
+        if found:
+            gaps.skip(a + len(at))
             return True
-    return False
+        if kept < len(rows):  # the draw at kept passed hi
+            gaps.skip(kept + 1)
+            return False
+        gaps.skip(kept)
+        r = int(rows[-1])

@@ -68,14 +68,19 @@ def gap_sampler(rate: float, rng) -> Callable[[], int]:
     return draw
 
 
+BLOCK = 4096  # most gaps one block shows ahead
+
+
 class GapStream:
     """gap_sampler(rate, rng) with its gaps shown ahead in numpy blocks.
 
     Calling the stream takes the next gap; peek(k) shows the next k gaps
-    as an int64 array without taking them, and skip(k) takes k of them.
+    as an int64 array without taking them, skip(k) takes k of them, and
+    rows(r, stop) shows the rows they reach from r a block at a time.
     The gaps equal gap_sampler's draw for draw, and a stream that is only
     called draws as gap_sampler does; peek draws ahead, so use it only on
-    an rng that nothing else draws from.
+    an rng that nothing else draws from.  At rate 1 no draw touches rng,
+    which may then be None.
 
     peek draws its k uniforms at once from rng.getrandbits(64 * k).  Each
     64-bit little-endian word holds the two 32-bit Mersenne Twister words
@@ -89,7 +94,7 @@ class GapStream:
 
     def __init__(self, rate: float, rng):
         self._draw = gap_sampler(rate, rng)  # rejects a bad rate
-        self._rate, self._getrandbits = rate, rng.getrandbits
+        self._rate, self._rng = rate, rng
         self._gaps = np.empty(0, dtype=np.int64)
         self._at = 0
 
@@ -105,7 +110,7 @@ class GapStream:
             fresh = np.ones(k, dtype=np.int64)
             if self._draw is not every_row:
                 log_q = math.log(1.0 - self._rate)
-                w = np.frombuffer(self._getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
+                w = np.frombuffer(self._rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
                 u = (((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38)) * 2.0**-53
                 q = np.log(1.0 - u) / log_q
                 fresh += q.astype(np.int64)
@@ -117,6 +122,24 @@ class GapStream:
 
     def skip(self, k: int) -> None:
         self._at += k
+
+    def rows(self, r: int, stop: int) -> np.ndarray:
+        """Row r, then the rows the next gaps reach from it, without taking them.
+
+        Shows min(BLOCK, 2^ceil(log2(stop - r))) gaps: gaps are at least
+        1, so stop - r of them reach stop, and rounding up to a power of
+        two keeps few array sizes in numpy's per-size buffer cache.  A gap
+        is cut to stop - r first: its row is at or past stop either way,
+        and the running sums stay far from overflow at the smallest rate.
+        """
+        span = max(stop - r, 1)
+        k = min(BLOCK, 1 << (span - 1).bit_length())
+        gaps = np.minimum(self.peek(k), span)
+        gaps[0] += r
+        rows = np.empty(k + 1, dtype=np.int64)
+        rows[0] = r
+        np.cumsum(gaps, out=rows[1:])
+        return rows
 
 
 def geometric_gap(rate: float, rng) -> int:
@@ -135,7 +158,9 @@ def kept_rows(lo: int, hi: int, draw_gap: Callable[[], int]) -> Iterator[int]:
 
     The first kept row is lo - 1 + draw_gap(), and each further draw
     adds one gap while the row is at most hi.  The walk makes the draw
-    that passes hi, and no draw once its caller stops iterating.
+    that passes hi, and no draw once its caller stops iterating.  It
+    draws the warm-up tester's sample; the main tester's rows and probes
+    walk a GapStream's blocks instead.
     """
     r = lo - 1 + draw_gap()
     while r <= hi:

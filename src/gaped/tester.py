@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,7 @@ from .periodicity import (
 # advance_row, not here; profiling harnesses rebind them in this module.
 from .periodicity import row_deviates  # noqa: F401
 from .qstring import as_queried, ledger_snapshot
-from .sampled import GapStream, check_parameters, gap_sampler, geometric_gap, sampling_rate
+from .sampled import GapStream, check_parameters, geometric_gap, sampling_rate
 from .scan import CostArray, advance_row, is_potent  # noqa: F401
 from .verdict import Answer, Verdict
 
@@ -84,17 +83,15 @@ class RunStats:
     events: list[tuple[int, int, str]] = field(default_factory=list)
 
 
-FIRST_BLOCK, LAST_BLOCK = 64, 4096  # rows per block: 64 in a new regime, doubling to 4096
-
-
 @dataclass(slots=True)
 class ModeState:
     """Mutable state threaded through the per-row rounds.
 
-    draw_gap draws the gap to the next sampled row, draw_probe_gap the gap
-    to the next probed row; each is the one sampler of its random stream.
-    The walk stops at row end.  block is the next block's row count; ahead
-    holds the rows to hop to, popped from the end, then None if one fails.
+    draw_gap gives the gaps to the next sampled rows, draw_probe_gap those
+    to the next probed rows; each is the one GapStream of its random
+    stream, and a block shows its gaps ahead.  The walk stops at row end.
+    ahead holds the rows to hop to, popped from the end, then None if one
+    fails.
     Each entry is popped by its own sampling_round call, one per sampled
     row, so stats.sampled_rows grows by len(ahead) once per block.
     """
@@ -107,9 +104,8 @@ class ModeState:
     period: PeriodState | None
     quiet_rows: int
     draw_gap: GapStream
-    draw_probe_gap: Callable[[], int]
+    draw_probe_gap: GapStream
     stats: RunStats
-    block: int = FIRST_BLOCK
     ahead: list[int | None] = field(default_factory=list)
     rep_d: int = 0
     seg_start: int = 0
@@ -136,7 +132,7 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
         period=None,
         quiet_rows=0,
         draw_gap=GapStream(rate, rng_rows),
-        draw_probe_gap=gap_sampler(rate, rng_probe),
+        draw_probe_gap=GapStream(rate, rng_probe),
         stats=RunStats(),
     )
 
@@ -175,7 +171,6 @@ def contiguous_round(state: ModeState, x, y) -> None:
         else:
             state.period = None
         state.sampling = True
-        state.block = FIRST_BLOCK
         stats.mode_transitions += 1
         state.i = state.i - 1 + state.draw_gap()
 
@@ -183,27 +178,20 @@ def contiguous_round(state: ModeState, x, y) -> None:
 def _check_block(state: ModeState, x, y) -> list[int | None]:
     """Check the next block of sampled rows from state.i; return state.ahead.
 
-    Up to the first failing row before state.end, x is charged at every
-    row and y wherever x kept the period pattern, as the row-by-row check
-    reads them; each passing row takes its gap from the stream.  Arrays
-    span the whole block and are cut by slicing: numpy caches freed small
-    buffers per size, and few sizes keep that cache small.
+    The block is state.i and the rows the stream's next gaps reach from
+    it (GapStream.rows): as many as can fall before state.end, at most
+    sampled.BLOCK.  Up to the first failing row before state.end, x is
+    charged at every row and y wherever x kept the period pattern, as the
+    row-by-row check reads them; each passing row takes its gap from the
+    stream, and gaps shown past a failing row stay in it.
     """
-    size = state.block
-    state.block = min(2 * size, LAST_BLOCK)
-    # A gap past the end is cut to it, which keeps the running sums far
-    # from overflow; such a row ends the walk either way.
-    gaps = np.minimum(state.draw_gap.peek(size), state.end)
-    gaps[0] += state.i
-    rows = np.empty(size + 1, dtype=np.int64)
-    rows[0] = state.i
-    np.cumsum(gaps, out=rows[1:])
-    block = rows[:size]
+    rows = state.draw_gap.rows(state.i, state.end)
+    block = rows[:-1]
     cx = x.look(block)
     period = state.period
     if period is None:
         ys = block + state.diagonals[0]
-        x_broke = np.zeros(size, dtype=bool)
+        x_broke = np.zeros(len(block), dtype=bool)
         fails = (cx < 0) | (cx != y.look(ys))
     else:
         ys = block + period.d_max

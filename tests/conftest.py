@@ -8,9 +8,10 @@ too long for the plain loop, and ref_optimal_alignment is its traceback
 with a fixed tie-break.  ref_banded_costs and ref_potent_sets are the
 pure-Python references for the banded grid the selective scan walks.
 ref_sampling_round is the main tester's row-by-row sampled-row check,
-the reference for its block check, and ref_shortest_path_cost is the
-warm-up tester's band scan over the sampled rows, the reference for its
-diagonal transition.
+the reference for its block check, ref_probe_diagonal is the row-by-row
+probe walk, the reference for the block probe, and ref_shortest_path_cost
+is the warm-up tester's band scan over the sampled rows, the reference
+for its diagonal transition.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from hypothesis import strategies as st
 
 import gaped.scan
 from gaped.alignment import DIAG_DOWN, DIAG_UP, SUBSTITUTION, SuccinctAlignment
-from gaped.periodicity import (
-    find_period_transition,
-    mismatched_diagonals,
-    probe_diagonal,
-    row_deviates,
-)
+from gaped.periodicity import find_period_transition, row_deviates
 from gaped.qstring import as_queried, bytes_match
 from gaped.scan import CostArray, advance_row
 
@@ -281,11 +277,30 @@ def ref_potent_sets(x: bytes, y: bytes, t: int) -> list[set[int]]:
     return table
 
 
+def ref_probe_diagonal(x, y, d: int, lo: int, hi: int, draw_gap) -> bool:
+    """gaped.periodicity.probe_diagonal walking one kept row at a time.
+
+    The first row is lo - 1 + draw_gap(), each further draw adds a gap
+    while the row is at most hi, and the draw that passes hi is made.
+    A row with both reads in range reads x, then y; True on the first
+    mismatch, which draws no further.
+    """
+    first, last = max(0, -d), min(len(x), len(y) - d) - 1
+    j = lo - 1 + draw_gap()
+    while j <= hi:
+        if first <= j <= last and x.read(j) != y.read(j + d):
+            return True
+        j += draw_gap()
+    return False
+
+
 def ref_sampling_round(state, x, y) -> bool:
     """gaped.tester.sampling_round checking one row per call.
 
     Each row reads x, then y unless x already broke the period pattern,
     and each passing row draws its gap from state.draw_gap on the spot.
+    The transition window and the probes walk their rows one at a time
+    too (ref_probe_diagonal).
     """
     period = state.period
     rs = state.i
@@ -306,10 +321,11 @@ def ref_sampling_round(state, x, y) -> bool:
     else:
         stats.search_rows.append(rs)
         j = find_period_transition(x, y, period, rs)
-        charged = mismatched_diagonals(x, y, j + 1, j + 1 + period.m, diags)
+        lo, hi = j + 1, j + 1 + period.m
+        charged = {d for d in diags if ref_probe_diagonal(x, y, d, lo, hi, lambda: 1)}
         uncharged = [d for d in diags if d not in charged]
         for d in uncharged:
-            if probe_diagonal(x, y, d, period.i_pat, rs, state.draw_probe_gap):
+            if ref_probe_diagonal(x, y, d, period.i_pat, rs, state.draw_probe_gap):
                 charged.add(d)
     live = set(diags)
     for d in diags:

@@ -4,8 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import Boom
+from conftest import Boom, ref_probe_diagonal
 from gaped.periodicity import (
     PeriodState,
     PeriodTransitionError,
@@ -15,7 +17,7 @@ from gaped.periodicity import (
     row_deviates,
 )
 from gaped.qstring import QueriedString
-from gaped.sampled import gap_sampler
+from gaped.sampled import BLOCK, GapStream
 
 
 def _periodic(pattern: bytes, n: int) -> bytes:
@@ -187,16 +189,16 @@ def test_probe_diagonal_rate_one_is_exhaustive():
     x = bytearray(_periodic(b"ab", 60))
     y = bytes(x)
     rng = Boom()
-    assert not probe_diagonal(q(x), q(y), 0, 10, 50, gap_sampler(1.0, rng))
+    assert not probe_diagonal(q(x), q(y), 0, 10, 50, GapStream(1.0, rng))
     x[37] = ord("z")
-    assert probe_diagonal(q(x), q(y), 0, 10, 50, gap_sampler(1.0, rng))
+    assert probe_diagonal(q(x), q(y), 0, 10, 50, GapStream(1.0, rng))
 
 
 def test_probe_diagonal_skips_out_of_range_rows():
     x = _periodic(b"ab", 30)
     rng = random.Random(0)
     # offset diagonal walks off y; those rows are unreadable, not mismatches
-    assert not probe_diagonal(q(x), q(x[:20]), 6, 10, 29, gap_sampler(1.0, rng))
+    assert not probe_diagonal(q(x), q(x[:20]), 6, 10, 29, GapStream(1.0, rng))
 
 
 def test_probe_diagonal_low_rate_samples_each_row_independently():
@@ -205,7 +207,7 @@ def test_probe_diagonal_low_rate_samples_each_row_independently():
     x[200] = ord("z")
     xs = bytes(x)
     single = sum(
-        probe_diagonal(q(xs), q(y), 0, 150, 250, gap_sampler(0.02, random.Random(s)))
+        probe_diagonal(q(xs), q(y), 0, 150, 250, GapStream(0.02, random.Random(s)))
         for s in range(400)
     )
     # one deviating row is seen only when sampled: rate 0.02, mean 8/400
@@ -213,7 +215,7 @@ def test_probe_diagonal_low_rate_samples_each_row_independently():
     x[150:251] = b"z" * 101
     xs = bytes(x)
     dense = sum(
-        probe_diagonal(q(xs), q(y), 0, 150, 250, gap_sampler(0.02, random.Random(s)))
+        probe_diagonal(q(xs), q(y), 0, 150, 250, GapStream(0.02, random.Random(s)))
         for s in range(400)
     )
     # 101 deviating rows: miss probability 0.98**101, mean ~347/400
@@ -221,13 +223,76 @@ def test_probe_diagonal_low_rate_samples_each_row_independently():
 
 
 def test_probe_diagonal_rng_consumption_is_pinned():
-    # one draw per kept row: an early hit stops drawing, a miss draws past hi
+    # one draw per kept row: an early hit stops drawing, a miss draws past hi;
+    # the stream's next gap is the one drawn from the pinned next random()
+    def gap(u):
+        return 1 + int(math.log(1.0 - u) / math.log(1.0 - 0.02))
+
     y = _periodic(b"ab", 400)
     x = bytearray(y)
     x[150:251] = b"z" * 101
-    rng = random.Random(5)
-    assert probe_diagonal(q(x), q(y), 0, 150, 250, gap_sampler(0.02, rng))
-    assert rng.random() == 0.7417869892607294
-    rng = random.Random(5)
-    assert not probe_diagonal(q(y), q(y), 0, 150, 250, gap_sampler(0.02, rng))
-    assert rng.random() == 0.7951935655656966
+    gaps = GapStream(0.02, random.Random(5))
+    assert probe_diagonal(q(x), q(y), 0, 150, 250, gaps)
+    assert gaps() == gap(0.7417869892607294)
+    gaps = GapStream(0.02, random.Random(5))
+    assert not probe_diagonal(q(y), q(y), 0, 150, 250, gaps)
+    assert gaps() == gap(0.7951935655656966)
+
+
+@st.composite
+def _probe_cases(draw):
+    """A pair aligned on diagonal d, with a few rows broken, and a range to probe.
+
+    y[j + d] == x[j] wherever both are in range, except at the broken
+    rows.  Ranges start before row 0, end before they start or span more
+    than BLOCK rows, and broken rows sit on the first and last row of a
+    rate-1 block as well as anywhere.
+    """
+    d = draw(st.integers(min_value=-5, max_value=5))
+    nx = draw(st.integers(min_value=0, max_value=2 * BLOCK + 300))
+    ny = max(0, nx + draw(st.integers(min_value=-5, max_value=5)))
+    lo = draw(st.integers(min_value=-8, max_value=draw(st.sampled_from([8, nx + 8]))))
+    hi = lo + draw(st.sampled_from([-3, -1, 0, 1, 5, 200, BLOCK, BLOCK + 1, 2 * BLOCK + 40]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=1 << 30)))
+    z = bytearray(rng.choice(b"ab") for _ in range(nx + ny + 20))
+    x, y = z[10:10 + nx], z[10 - d:10 - d + ny]
+    marks = st.one_of(st.sampled_from([lo, lo + 1, lo + BLOCK - 1, lo + BLOCK, hi, hi + 1]),
+                      st.integers(min_value=lo, max_value=max(lo, hi)))
+    for j in draw(st.lists(marks, min_size=draw(st.integers(0, 1)), max_size=3)):
+        if 0 <= j < nx and 0 <= j + d < ny:
+            y[j + d] = ord("c")
+    return bytes(x), bytes(y), d, lo, hi
+
+
+def _probe_against_the_row_walk(x, y, d, lo, hi, rate, seed):
+    seen = []
+    for probe in (ref_probe_diagonal, probe_diagonal):
+        qx, qy, gaps = q(x), q(y), GapStream(rate, random.Random(seed))
+        found = probe(qx, qy, d, lo, hi, gaps)
+        seen.append((found, qx.distinct, qx.total, qy.distinct, qy.total,
+                     qx.positions_read(), qy.positions_read(), [gaps() for _ in range(5)]))
+    assert seen[1] == seen[0]
+    return seen[0][0]
+
+
+@given(case=_probe_cases(), rate=st.sampled_from([1.0, 0.9, 0.5, 0.05, 0.002, 2e-16]),
+       seed=st.integers(min_value=0, max_value=1 << 30))
+@settings(max_examples=300, deadline=None)
+def test_probe_diagonal_matches_the_row_walk(case, rate, seed):
+    # The block probe must make the row walk's reads and draws: the same
+    # answer, ledgers down to the positions, and the same gaps left next.
+    # At rate 2e-16, near the smallest legal one, 4096 uncut gaps would
+    # overflow their int64 running sum.
+    _probe_against_the_row_walk(*case, rate, seed)
+
+
+@pytest.mark.parametrize("broken", [0, BLOCK - 1, BLOCK, BLOCK + 99])
+def test_probe_diagonal_finds_a_mismatch_on_a_block_edge(broken):
+    # At rate 1 the first block holds rows lo .. lo + BLOCK - 1; break its
+    # first or last row, the next block's first row, or the last row hi.
+    lo, hi = 3, 3 + BLOCK + 99
+    y = _periodic(b"ab", 2 * BLOCK)
+    x = bytearray(y)
+    x[lo + broken] = ord("z")
+    assert _probe_against_the_row_walk(bytes(x), y, 0, lo, hi, 1.0, 0)
+    _probe_against_the_row_walk(bytes(x), y, 0, lo, hi, 0.9, 7)

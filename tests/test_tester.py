@@ -15,6 +15,7 @@ from gaped.alignment import SUBSTITUTION, validate_alignment
 from gaped.generators import gen_independent_random, gen_periodic_splice, gen_random_edits
 from gaped.oracle import edit_distance
 from gaped.qstring import QueriedString
+from gaped.sampled import BLOCK, GapStream
 from gaped.scan import selective_scan
 from gaped.tester import TesterConfig, run
 from gaped.verdict import Answer
@@ -224,7 +225,8 @@ def test_one_round_call_per_counted_row(monkeypatch):
     check_block = gaped.tester._check_block
 
     def recorded(state, x, y):
-        size = state.block
+        # the size rule: the least power of two that covers the rows left, at most BLOCK
+        size = min(BLOCK, 1 << (state.end - state.i - 1).bit_length())
         ahead = check_block(state, x, y)
         blocks.append((size, len(ahead), ahead[0] is None))
         return ahead
@@ -254,6 +256,29 @@ def test_one_round_call_per_counted_row(monkeypatch):
         elif ending == "failed":
             assert v.answer is Answer.FAR and last == ["sampling_round", True]
             assert blocks[-1][2]
+
+
+def test_a_short_run_peeks_no_more_gaps_than_its_rows(monkeypatch):
+    # A block shows the least power of two of gaps that covers the rows
+    # left, so a 60-row run below rate 1 never peeks more than 64 and a
+    # 26-row run never more than 32, on the row stream or, in the second
+    # run, the probe stream, however often it enters a regime.
+    sizes = []
+    peek = GapStream.peek
+
+    def recorded(stream, k):
+        sizes.append(k)
+        return peek(stream, k)
+
+    monkeypatch.setattr(GapStream, "peek", recorded)
+    for (x, y), kw, most in [
+        (gen_random_edits(60, 2, seed=33523), dict(t=6, c_s=1.0, seed=53), 64),
+        ((b"a" * 24, b"acaaaaaaaaaaaaaaaabaaaaaac"), dict(t=4, c_s=0.3, seed=577), 32),
+    ]:
+        sizes.clear()
+        v = _run(x, y, **kw)
+        assert v.stats.mode_transitions >= 2 and v.stats.sampled_rows > 0
+        assert sizes and max(sizes) <= most
 
 
 @st.composite
