@@ -120,8 +120,8 @@ def mismatched_diagonals(x, y, lo: int, hi: int, diagonals):
     uncharged near the end of the strings (the caller probes the extras
     separately).  Rate-1 gaps draw nothing, so one stream serves them all.
     """
-    every_row = GapStream(1.0, None)
-    return {d for d in diagonals if probe_diagonal(x, y, d, lo, hi, every_row)}
+    unit_gaps = GapStream(1.0, None)
+    return {d for d in diagonals if probe_diagonal(x, y, d, lo, hi, unit_gaps)}
 
 
 def probe_diagonal(x, y, d: int, lo: int, hi: int, gaps: GapStream) -> bool:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,48 +38,25 @@ def check_parameters(t, c_s) -> None:
         raise ValueError(f"sampling constant must be positive, got {c_s!r}")
 
 
-def every_row() -> int:
-    """The rate-1 gap draw: keep the next row, consume no randomness."""
-    return 1
-
-
-def gap_sampler(rate: float, rng) -> Callable[[], int]:
-    """A zero-argument draw of geometric_gap(rate, rng), set up once.
-
-    log(1 - rate) and rng.random are bound when the sampler is built, so
-    each draw is one rng call and one log.  Draws equal geometric_gap's
-    draw for draw and leave rng in the same state.  rate >= 1 gives a
-    draw that returns 1 without consuming randomness; a rate too small to
-    move 1 - rate off 1.0 (rate <= 0 and NaN included) is a ValueError
-    here, before any draw.
-    """
-    if rate >= 1.0:
-        return every_row
-    if not 1.0 - rate < 1.0:  # rate <= 0, NaN, or so small that log(1 - rate) is 0
-        raise ValueError(f"sampling rate {rate!r} must be positive with 1 - rate < 1")
-    log = math.log
-    log_q = log(1.0 - rate)
-    random = rng.random
-
-    def draw() -> int:
-        return 1 + int(log(1.0 - random()) / log_q)
-
-    return draw
-
-
 BLOCK = 4096  # most gaps one block shows ahead
 
 
 class GapStream:
-    """gap_sampler(rate, rng) with its gaps shown ahead in numpy blocks.
+    """Geometric gaps at one rate, drawn one at a time or shown in numpy blocks.
+
+    Each row is kept with probability rate, so a gap is k >= 1 with
+    probability rate * (1 - rate)^(k - 1), drawn by inverse transform as
+    1 + int(log(1 - u) / log(1 - rate)) from one uniform u = rng.random()
+    (Devroye 1986).  rate >= 1 gives gaps of 1 and never touches rng,
+    which may then be None; a rate too small to move 1 - rate off 1.0
+    (rate <= 0 and NaN included) is a ValueError here, before any draw.
 
     Calling the stream takes the next gap; peek(k) shows the next k gaps
     as an int64 array without taking them, skip(k) takes k of them, and
     rows(r, stop) shows the rows they reach from r a block at a time.
-    The gaps equal gap_sampler's draw for draw, and a stream that is only
-    called draws as gap_sampler does; peek draws ahead, so use it only on
-    an rng that nothing else draws from.  At rate 1 no draw touches rng,
-    which may then be None.
+    The gaps are the same draw for draw whichever way they are taken.  A
+    stream that is only called makes one random() call per gap; peek
+    draws ahead, so use it only on an rng that nothing else draws from.
 
     peek draws its k uniforms at once from rng.getrandbits(64 * k).  Each
     64-bit little-endian word holds the two 32-bit Mersenne Twister words
@@ -93,29 +69,35 @@ class GapStream:
     """
 
     def __init__(self, rate: float, rng):
-        self._draw = gap_sampler(rate, rng)  # rejects a bad rate
-        self._rate, self._rng = rate, rng
+        if rate >= 1.0:
+            self._log_q = None  # every row is kept
+        elif not 1.0 - rate < 1.0:  # rate <= 0, NaN, or so small that log(1 - rate) is 0
+            raise ValueError(f"sampling rate {rate!r} must be positive with 1 - rate < 1")
+        else:
+            self._log_q = math.log(1.0 - rate)
+        self._rng = rng
         self._gaps = np.empty(0, dtype=np.int64)
         self._at = 0
 
     def __call__(self) -> int:
-        if self._at == len(self._gaps):
-            return self._draw()
-        self._at += 1
-        return int(self._gaps[self._at - 1])
+        if self._at < len(self._gaps):
+            self._at += 1
+            return int(self._gaps[self._at - 1])
+        if self._log_q is None:
+            return 1
+        return 1 + int(math.log(1.0 - self._rng.random()) / self._log_q)
 
     def peek(self, k: int) -> np.ndarray:
         if len(self._gaps) - self._at < k:
             # k draws, not the shortfall: numpy caches small buffers per size.
             fresh = np.ones(k, dtype=np.int64)
-            if self._draw is not every_row:
-                log_q = math.log(1.0 - self._rate)
+            if self._log_q is not None:
                 w = np.frombuffer(self._rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
                 u = (((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38)) * 2.0**-53
-                q = np.log(1.0 - u) / log_q
+                q = np.log(1.0 - u) / self._log_q
                 fresh += q.astype(np.int64)
                 near = np.abs(q - np.rint(q)) <= 1e-9 * np.maximum(q, 1.0)
-                fresh[near] = [1 + int(math.log(1.0 - v) / log_q) for v in u[near]]
+                fresh[near] = [1 + int(math.log(1.0 - v) / self._log_q) for v in u[near]]
             self._gaps = np.concatenate((self._gaps[self._at:], fresh))
             self._at = 0
         return self._gaps[self._at:self._at + k]
@@ -143,29 +125,12 @@ class GapStream:
 
 
 def geometric_gap(rate: float, rng) -> int:
-    """Distance to the next kept row when each row is kept w.p. rate.
+    """The first gap of a fresh GapStream(rate, rng), with its rate rules.
 
-    Returns k with probability rate * (1-rate)^(k-1), k >= 1; rate >= 1
-    returns 1 without consuming randomness, and a rate too small to move
-    1 - rate off 1.0 (rate <= 0 and NaN included) is a ValueError.  The
-    one-shot form of gap_sampler, for callers that draw once per setting.
+    For callers that draw once per setting: the main tester's first
+    sampled row.
     """
-    return gap_sampler(rate, rng)()
-
-
-def kept_rows(lo: int, hi: int, draw_gap: Callable[[], int]) -> Iterator[int]:
-    """The rows of [lo .. hi] kept by draw_gap, in increasing order.
-
-    The first kept row is lo - 1 + draw_gap(), and each further draw
-    adds one gap while the row is at most hi.  The walk makes the draw
-    that passes hi, and no draw once its caller stops iterating.  It
-    draws the warm-up tester's sample; the main tester's rows and probes
-    walk a GapStream's blocks instead.
-    """
-    r = lo - 1 + draw_gap()
-    while r <= hi:
-        yield r
-        r += draw_gap()
+    return GapStream(rate, rng)()
 
 
 def sampling_rate(n: int, t: int, c_s: float, epsilon: float = 0.0) -> float:
@@ -182,11 +147,18 @@ def sampling_rate(n: int, t: int, c_s: float, epsilon: float = 0.0) -> float:
 def sample_rows(n: int, t: int, c_s: float, rng) -> list[int]:
     """Sorted sample: row 0 plus each row in [1..n] kept w.p. c_s*ln(n)/t.
 
-    kept_rows skips geometric gaps, so the cost is proportional to the
-    sample size rather than n.
+    A fresh GapStream is only called, never peeked, so rng gives one
+    random() per kept row and one for the draw that passes n; skipping
+    geometric gaps keeps the cost proportional to the sample size rather
+    than n.
     """
     check_parameters(t, c_s)
-    return [0, *kept_rows(1, n, gap_sampler(sampling_rate(n, t, c_s), rng))]
+    draw = GapStream(sampling_rate(n, t, c_s), rng)
+    rows, r = [0], draw()
+    while r <= n:
+        rows.append(r)
+        r += draw()
+    return rows
 
 
 @dataclass(frozen=True)

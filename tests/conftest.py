@@ -11,11 +11,13 @@ ref_sampling_round is the main tester's row-by-row sampled-row check,
 the reference for its block check, ref_probe_diagonal is the row-by-row
 probe walk, the reference for the block probe, and ref_shortest_path_cost
 is the warm-up tester's band scan over the sampled rows, the reference
-for its diagonal transition.
+for its diagonal transition.  ref_gap is the geometric gap draw written
+out, the reference for every gap the sampler gives.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -206,6 +208,17 @@ class Boom:
 
     def getrandbits(self, bits):
         raise AssertionError("rate 1 must not consume randomness")
+
+
+def ref_gap(rate: float, rng) -> int:
+    """One gap when each row is kept w.p. rate, drawn by inverse transform.
+
+    1 + int(log(1 - u) / log(1 - rate)) for one u = rng.random(); rate >= 1
+    returns 1 without touching rng.
+    """
+    if rate >= 1.0:
+        return 1
+    return 1 + int(math.log(1.0 - rng.random()) / math.log(1.0 - rate))
 
 
 def ref_banded_costs(x: bytes, y: bytes, t: int) -> list[list[int]]:

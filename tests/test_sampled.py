@@ -14,6 +14,7 @@ from conftest import (
     periodic_pairs,
     random_bytes,
     ref_edit_distance,
+    ref_gap,
     ref_shortest_path_cost,
 )
 from gaped.generators import gen_certified_far, gen_random_edits
@@ -21,10 +22,10 @@ from gaped.qstring import QueriedString
 from gaped.sampled import (
     GapStream,
     SampledGrid,
-    gap_sampler,
     geometric_gap,
     run_sampled_tester,
     sample_rows,
+    sampling_rate,
     shortest_path_cost,
 )
 
@@ -46,6 +47,11 @@ def test_geometric_gap_rejects_nonpositive_rate():
     # positive, but log(1 - rate) rounds to 0.0
     with pytest.raises(ValueError):
         geometric_gap(1e-20, random.Random(0))
+    # NaN fails both rate tests, so it must not pass as rate 1; and no
+    # bad rate draws before it is rejected
+    for rate in (0.0, -0.5, 1e-20, float("nan")):
+        with pytest.raises(ValueError):
+            geometric_gap(rate, Boom())
 
 
 @given(rate=st.one_of(st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
@@ -53,31 +59,13 @@ def test_geometric_gap_rejects_nonpositive_rate():
        seed=st.integers(min_value=0, max_value=2**32),
        draws=st.integers(min_value=0, max_value=2000))
 @settings(max_examples=150, deadline=None)
-def test_gap_sampler_equals_geometric_gap_draw_for_draw(rate, seed, draws):
-    one_shot, hoisted, plain = (random.Random(seed) for _ in range(3))
-    draw = gap_sampler(rate, hoisted)
-    got = [draw() for _ in range(draws)]
-    assert got == [geometric_gap(rate, one_shot) for _ in range(draws)]
-    assert hoisted.getstate() == one_shot.getstate()
-    # the inverse-transform draw written out, independent of both forms
-    if rate < 1.0:
-        expected = [1 + int(math.log(1.0 - plain.random()) / math.log(1.0 - rate))
-                    for _ in range(draws)]
-    else:
-        expected = [1] * draws
-    assert got == expected
-    assert hoisted.getstate() == plain.getstate()
-
-
-def test_gap_sampler_rate_one_consumes_nothing_and_bad_rates_fail_at_build():
-    for rate in (1.0, 2.5):
-        draw = gap_sampler(rate, Boom())
-        assert [draw() for _ in range(5)] == [1] * 5
-    for rate in (0.0, -0.5, 1e-20, float("nan")):
-        with pytest.raises(ValueError):
-            gap_sampler(rate, Boom())
-        with pytest.raises(ValueError):
-            geometric_gap(rate, Boom())
+def test_called_gap_stream_and_geometric_gap_equal_ref_gap_draw_for_draw(rate, seed, draws):
+    called, one_shot, plain = (random.Random(seed) for _ in range(3))
+    stream = GapStream(rate, called)
+    expected = [ref_gap(rate, plain) for _ in range(draws)]
+    assert [stream() for _ in range(draws)] == expected
+    assert [geometric_gap(rate, one_shot) for _ in range(draws)] == expected
+    assert called.getstate() == one_shot.getstate() == plain.getstate()
 
 
 def _stream_walk(stream, steps):
@@ -99,11 +87,11 @@ def _stream_walk(stream, steps):
                                 st.integers(min_value=0, max_value=600),
                                 st.integers(min_value=0, max_value=3)), max_size=8))
 @settings(max_examples=150, deadline=None)
-def test_gap_stream_equals_gap_sampler_draw_for_draw(rate, seed, steps):
+def test_gap_stream_equals_ref_gap_draw_for_draw(rate, seed, steps):
     steps = [(k, min(j, k), singles) for k, j, singles in steps]
     shown, taken = _stream_walk(GapStream(rate, random.Random(seed)), steps)
-    draw = gap_sampler(rate, random.Random(seed))
-    expected = [draw() for _ in range(sum(k + singles for k, _, singles in steps))]
+    plain = random.Random(seed)
+    expected = [ref_gap(rate, plain) for _ in range(sum(k + singles for k, _, singles in steps))]
     at = 0
     for (k, j, singles), ahead in zip(steps, shown):
         assert ahead == expected[at:at + k]
@@ -118,15 +106,12 @@ def test_gap_stream_equals_gap_sampler_draw_for_draw(rate, seed, steps):
 @settings(max_examples=150, deadline=None)
 def test_gap_stream_block_draw_equals_single_draws(rate, seed, k):
     # peek(k) decodes k random() values from one getrandbits call; the
-    # gaps must be gap_sampler's and the rng must end where k random()
+    # gaps must be ref_gap's and the rng must end where its k random()
     # calls leave it.
-    blocked, single, plain = (random.Random(seed) for _ in range(3))
+    blocked, single = random.Random(seed), random.Random(seed)
     got = GapStream(rate, blocked).peek(k).tolist()
-    draw = gap_sampler(rate, single)
-    assert got == [draw() for _ in range(k)]
-    for _ in range(k):
-        plain.random()
-    assert blocked.getstate() == plain.getstate() == single.getstate()
+    assert got == [ref_gap(rate, single) for _ in range(k)]
+    assert blocked.getstate() == single.getstate()
 
 
 class _Scripted:
@@ -167,13 +152,15 @@ def test_gap_stream_takes_near_integer_quotients_again_with_math_log():
         values = [round(v * 2**53) * 2**-53 for v in values]
         q = np.log(1.0 - np.array(values)) / math.log(1.0 - rate)
         assert np.sum(np.abs(q - np.rint(q)) <= 1e-9 * q) >= len(values) - 1, rate
-        draw = gap_sampler(rate, _Scripted(values))
-        expected = [draw() for _ in values]
+        scripted = _Scripted(values)
+        expected = [ref_gap(rate, scripted) for _ in values]
         assert GapStream(rate, _Scripted(values)).peek(len(values)).tolist() == expected
 
 
 def test_gap_stream_rate_one_consumes_nothing_and_bad_rates_fail_at_build():
     for rate in (1.0, 2.5):
+        called = GapStream(rate, Boom())
+        assert [called() for _ in range(5)] == [1] * 5
         stream = GapStream(rate, Boom())
         assert stream.peek(64).tolist() == [1] * 64
         stream.skip(10)
@@ -222,6 +209,27 @@ def test_sample_rows_rng_consumption_is_pinned():
     rng = random.Random(3)
     assert len(sample_rows(5000, 64, 0.5, rng)) == 331
     assert rng.random() == 0.17977244143167792
+
+
+@given(n=st.integers(min_value=0, max_value=20000),
+       t=st.integers(min_value=1, max_value=256),
+       # log-uniform over 1e-4 .. 1e3: about 3 in 5 cases fall below rate 1
+       c_s=st.floats(min_value=-4.0, max_value=3.0).map(lambda e: 10.0 ** e),
+       seed=st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=200, deadline=None)
+def test_sample_rows_is_the_ref_gap_walk(n, t, c_s, seed):
+    # row 0, then the running sums of ref_gap up to the draw that passes n,
+    # with the rng left where those draws leave it; rate 1 draws nothing
+    rate = sampling_rate(n, t, c_s)
+    rng, plain = (Boom(), None) if rate >= 1.0 else (random.Random(seed), random.Random(seed))
+    got = sample_rows(n, t, c_s, rng)
+    expected, r = [0], ref_gap(rate, plain)
+    while r <= n:
+        expected.append(r)
+        r += ref_gap(rate, plain)
+    assert got == expected
+    if rate < 1.0:
+        assert rng.getstate() == plain.getstate()
 
 
 def test_sample_rows_rejects_bad_threshold():
