@@ -113,15 +113,16 @@ def find_period_transition(x, y, state: PeriodState, i: int) -> int:
 def mismatched_diagonals(x, y, lo: int, hi: int, diagonals):
     """Diagonals with a direct mismatch in rows [lo .. hi] after a transition.
 
-    Returns the set of diagonals that a rate-1 probe_diagonal over the
-    window charges: those d with x[j'] != y[j'+d] for some in-range row j'.
-    Only pairs with both reads in range count; rows truncated by a string
-    boundary never charge, which can leave more than one diagonal
-    uncharged near the end of the strings (the caller probes the extras
-    separately).  Rate-1 gaps draw nothing, so one stream serves them all.
+    Returns those d with x[j'] != y[j'+d] for some row j' with both reads
+    in range.  Each diagonal reads its rows in order, x then y, up to its
+    first mismatch: the reads of a rate-1 probe_diagonal over the window.
+    Rows truncated by a string boundary never charge, which can leave more
+    than one diagonal uncharged near the end of the strings (the caller
+    probes the extras separately).
     """
-    unit_gaps = GapStream(1.0, None)
-    return {d for d in diagonals if probe_diagonal(x, y, d, lo, hi, unit_gaps)}
+    return {d for d in diagonals
+            if any(x.read(j) != y.read(j + d)
+                   for j in range(max(lo, 0, -d), min(hi, len(x) - 1, len(y) - 1 - d) + 1))}
 
 
 def probe_diagonal(x, y, d: int, lo: int, hi: int, gaps: GapStream) -> bool:

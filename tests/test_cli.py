@@ -239,6 +239,23 @@ def test_gen_no_certify_skips_the_oracle(tmp_path):
     assert summary["delta_bound"] == 3  # one half-period window per change
 
 
+@pytest.mark.parametrize("argv, bound, exact", [
+    (["--family", "block-shift", "--blocks", "5", "-n", "600", "--seed", "3"], 10, 6),
+    (["--family", "periodic-splice", "--period", "2", "--transitions", "0", "-n", "600"],
+     0, 0),
+    (["--family", "periodic-splice", "--period", "4", "--transitions", "2", "--y-only",
+      "-n", "2048", "--seed", "3"], 10, 9),
+])
+def test_gen_bounds_the_certified_distance(tmp_path, argv, bound, exact):
+    # block-shift's 2t, a splice without transitions, and a y-only splice's
+    # half period plus one period per excursion
+    code, out = run_cli(["gen", "--out", str(tmp_path / "inst"), *argv])
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["delta_bound"] == bound
+    assert summary["delta_exact"] == exact <= bound
+
+
 def test_gen_missing_family_parameter_exits_2(tmp_path, capsys):
     for family, missing in (("random-edits", "--k"), ("block-shift", "--blocks"),
                             ("periodic-splice", "--period")):
@@ -290,6 +307,15 @@ def test_bench_emits_one_row_per_grid_cell():
         assert int(row[3]) == 2
         assert float(row[6]) == 0.0  # close instances stay close
         assert float(row[7]) == 0.0  # stable output zeroes wall time
+
+
+def test_bench_block_shift_pairs_stay_close():
+    code, out = run_cli(["bench", "--family", "block-shift", "--n-grid", "512",
+                         "--t-grid", "8", "--trials", "2", "--stable-output"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 1
+    assert (rows[0]["family"], float(rows[0]["far_rate"])) == ("block_shift", 0.0)
 
 
 def test_bench_workers_do_not_change_the_output():

@@ -181,6 +181,30 @@ def test_mismatched_diagonals_truncates_at_string_end():
     assert charged == set()
 
 
+@st.composite
+def _window_cases(draw):
+    """Short strings over 1-3 letters, a window that may pass either end, and diagonals."""
+    text = st.lists(st.sampled_from(b"abc"[:draw(st.integers(1, 3))]), max_size=40).map(bytes)
+    lo = draw(st.integers(min_value=-3, max_value=45))
+    hi = lo + draw(st.integers(min_value=0, max_value=6))
+    diagonals = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True))
+    return draw(text), draw(text), lo, hi, diagonals
+
+
+@given(case=_window_cases())
+@settings(max_examples=300, deadline=None)
+def test_mismatched_diagonals_matches_rate_one_probes(case):
+    # The window walk makes the reads of a rate-1 row walk on each
+    # diagonal: the same set, and ledgers down to the positions.
+    x, y, lo, hi, diagonals = case
+    qx, qy, rx, ry = q(x), q(y), q(x), q(y)
+    got = mismatched_diagonals(qx, qy, lo, hi, diagonals)
+    assert got == {d for d in diagonals if ref_probe_diagonal(rx, ry, d, lo, hi, lambda: 1)}
+    for walked, ref in ((qx, rx), (qy, ry)):
+        assert (walked.distinct, walked.total, walked.positions_read()) == (
+            ref.distinct, ref.total, ref.positions_read())
+
+
 # ---------------------------------------------------------------------------
 # probing
 

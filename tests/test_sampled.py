@@ -239,26 +239,6 @@ def test_sample_rows_rejects_bad_threshold():
 
 
 # ---------------------------------------------------------------------------
-# grid validation
-
-
-def test_sampled_grid_validates_shape():
-    SampledGrid(rows=(0, 3, 7), t=2, n=10)
-    with pytest.raises(ValueError):
-        SampledGrid(rows=(1, 3), t=2, n=10)  # missing head row
-    with pytest.raises(ValueError):
-        SampledGrid(rows=(0, 3, 3), t=2, n=10)  # not strictly increasing
-    with pytest.raises(ValueError):
-        SampledGrid(rows=(0, 11), t=2, n=10)  # row past the string
-
-
-def test_shortest_path_requires_matching_length():
-    grid = SampledGrid(rows=(0, 4), t=2, n=4)
-    with pytest.raises(ValueError):
-        shortest_path_cost(grid, QueriedString(b"abc"), QueriedString(b"abc"))
-
-
-# ---------------------------------------------------------------------------
 # exactness with every row kept
 
 
@@ -271,7 +251,7 @@ def test_dense_grid_shortest_path_is_the_edit_distance():
         y = mutate(rng, x, rng.randrange(0, t + 3))
         if abs(len(y) - len(x)) > t:
             continue
-        grid = SampledGrid(rows=tuple(range(n + 1)), t=t, n=n)
+        grid = SampledGrid(rows=tuple(range(n + 1)), t=t)
         cost = shortest_path_cost(grid, QueriedString(x), QueriedString(y))
         d = ref_edit_distance(x, y)
         if d <= t:
@@ -303,7 +283,7 @@ def warm_up_grids(draw):
     else:
         seed = draw(st.integers(min_value=0, max_value=1 << 30))
         rows = sample_rows(n, t, kind, random.Random(seed))
-    return x, y, SampledGrid(rows=tuple(rows), t=t, n=n)
+    return x, y, SampledGrid(rows=tuple(rows), t=t)
 
 
 def _priced(price, x, y, grid):
