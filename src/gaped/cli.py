@@ -7,8 +7,10 @@ Subcommands:
   main tester) and print a query-count report.
 - gen: materialize one instance of a generator family to a directory as
   x.bin, y.bin, and a meta.json sidecar with the certified distance.
-- bench: sweep an (n, t) grid, run the main tester over fresh instances,
-  and print per-cell aggregate query counts as CSV.
+- bench: sweep an (n, t) grid of distinct values, run the main tester over
+  fresh instances, and print per-cell aggregate query counts as CSV.
+
+gen and bench know each --family flag from its one `Family` record.
 
 Reports print as JSON (default) or CSV.  Exit status is 0 for any
 completed run regardless of verdict, 2 for bad flags (argparse names the
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -31,6 +34,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .generators import (
     certified_delta,
@@ -51,13 +55,42 @@ SCHEMA_VERSION = 3
 # gen's meta.json layout is versioned apart from the run report's.
 META_SCHEMA_VERSION = 2
 
-# Each --family flag: the family name meta.json and the CSV record, and
-# the generator, called as generator(n, seed=seed, **params).
-_FAMILY_FLAGS = {
-    "random-edits": ("random_edits", gen_random_edits),
-    "block-shift": ("block_shift", gen_block_shift),
-    "periodic-splice": ("periodic_splice", gen_periodic_splice),
-    "independent": ("independent_random", gen_independent_random),
+
+class Family(NamedTuple):
+    """One --family flag: all that gen and bench know of its family."""
+
+    name: str  # what meta.json and the bench CSV record
+    generate: Callable  # called as generate(n, seed=seed, **params)
+    required: str | None  # the gen flag the family needs, or None
+    gen_params: Callable[[argparse.Namespace], dict]  # from gen's flags
+    bench_params: Callable[[int], dict]  # bench's params at t
+    bound: Callable[[dict], int | None]  # the construction's distance bound
+
+
+def _splice_bound(p: dict) -> int:
+    # Hamming cost along the main diagonal: one half-period window
+    # per change, a full period per y-side excursion.
+    g, nt = p["g"], p["num_transitions"]
+    if nt == 0:
+        return 0
+    return g // 2 + nt * g if p["y_only"] else (nt + 1) * (g // 2)
+
+
+_FAMILIES = {
+    "random-edits": Family("random_edits", gen_random_edits, "k",
+                           lambda a: {"k": a.k, "sigma": a.sigma},
+                           lambda t: {"k": max(1, t // 2)}, lambda p: p["k"]),
+    "block-shift": Family("block_shift", gen_block_shift, "blocks",
+                          lambda a: {"t": a.blocks, "sigma": a.sigma},
+                          lambda t: {"t": t}, lambda p: 2 * p["t"]),
+    "periodic-splice": Family(
+        "periodic_splice", gen_periodic_splice, "period",
+        lambda a: {"g": a.period, "num_transitions": a.transitions,
+                   "y_only": bool(a.y_only), "sigma": a.sigma},
+        lambda t: {"g": max(2, t // 4), "num_transitions": 3}, _splice_bound),
+    "independent": Family("independent_random", gen_independent_random, None,
+                          lambda a: {"sigma": a.sigma},
+                          lambda t: {}, lambda p: None),
 }
 
 BENCH_FIELDS = (
@@ -142,62 +175,26 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _gen_params(args, parser: argparse.ArgumentParser) -> dict:
-    fam = args.family
-    if fam == "random-edits":
-        if args.k is None:
-            parser.error("--k is required for random-edits")
-        return {"k": args.k, "sigma": args.sigma}
-    if fam == "block-shift":
-        if args.blocks is None:
-            parser.error("--blocks is required for block-shift")
-        return {"t": args.blocks, "sigma": args.sigma}
-    if fam == "periodic-splice":
-        if args.period is None:
-            parser.error("--period is required for periodic-splice")
-        return {
-            "g": args.period,
-            "num_transitions": args.transitions,
-            "y_only": bool(args.y_only),
-            "sigma": args.sigma,
-        }
-    return {"sigma": args.sigma}
-
-
-def _delta_bound(family: str, params: dict) -> int | None:
-    if family == "random_edits":
-        return params["k"]
-    if family == "block_shift":
-        return 2 * params["t"]
-    if family == "periodic_splice":
-        g, nt = params["g"], params["num_transitions"]
-        if nt == 0:
-            return 0
-        # Hamming cost along the main diagonal: one half-period window
-        # per change, a full period per y-side excursion.
-        if params.get("y_only"):
-            return g // 2 + nt * g
-        return (nt + 1) * (g // 2)
-
-
 def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
     seed = _resolve_seed(args.seed)
-    params = _gen_params(args, parser)
-    family, generate = _FAMILY_FLAGS[args.family]
+    family = _FAMILIES[args.family]
+    if family.required and getattr(args, family.required) is None:
+        parser.error(f"--{family.required} is required for {args.family}")
+    params = family.gen_params(args)
     try:
-        x, y = generate(args.n, seed=seed, **params)
+        x, y = family.generate(args.n, seed=seed, **params)
     except ValueError as exc:
         parser.error(str(exc))
     meta = {
         "schema_version": META_SCHEMA_VERSION,
-        "family": family,
+        "family": family.name,
         "n": args.n,
         "seed": seed,
         "params": params,
         "len_x": len(x),
         "len_y": len(y),
         "delta_exact": None if args.no_certify else certified_delta(x, y),
-        "delta_bound": _delta_bound(family, params),
+        "delta_bound": family.bound(params),
     }
     try:
         write_instance(args.out, x, y, meta)
@@ -209,38 +206,28 @@ def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _bench_params(family: str, t: int) -> dict:
-    if family == "random_edits":
-        return {"k": max(1, t // 2)}
-    if family == "block_shift":
-        return {"t": t}
-    if family == "periodic_splice":
-        return {"g": max(2, t // 4), "num_transitions": 3}
-    return {}
-
-
 def _bench_task(flag: str, n: int, t: int, trial: int, base_seed: int,
-                cs: float, eps: float) -> tuple[int, int, int, int, bool, int]:
+                cs: float, eps: float) -> tuple[int, int, int, bool, int]:
     # Deterministic per-cell seed; arithmetic (not hash) so worker
     # processes agree with the parent.
     seed = ((base_seed * 1000003 + n) * 1000003 + t) * 1000003 + trial
-    family, generate = _FAMILY_FLAGS[flag]
-    x, y = generate(n, seed=seed, **_bench_params(family, t))
+    family = _FAMILIES[flag]
+    x, y = family.generate(n, seed=seed, **family.bench_params(t))
     cfg = TesterConfig(t=t, epsilon=eps, c_s=cs, seed=seed + 1)
     started = time.perf_counter_ns()
     v = run_main_tester(x, y, cfg)
     wall = time.perf_counter_ns() - started
-    return (n, t, trial, v.ledger.distinct_total, not v.is_close, wall)
+    return (n, t, v.ledger.distinct_total, not v.is_close, wall)
 
 
-def _p95(values: list[int]) -> int:
+def _p95(values: tuple[int, ...]) -> int:
     ordered = sorted(values)
     idx = min(len(ordered) - 1, math.ceil(0.95 * len(ordered)) - 1)
     return ordered[max(0, idx)]
 
 
 def cmd_bench(args, parser: argparse.ArgumentParser) -> int:
-    family = _FAMILY_FLAGS[args.family][0]
+    family = _FAMILIES[args.family].name
     seed = _resolve_seed(args.seed)
     tasks = [
         (args.family, n, t, trial, seed, args.cs, args.eps)
@@ -257,28 +244,19 @@ def cmd_bench(args, parser: argparse.ArgumentParser) -> int:
             results = [_bench_task(*task) for task in tasks]
     except ValueError as exc:
         parser.error(str(exc))
-    # Task order is the merge order, so scheduling never reorders rows.
-    by_cell: dict[tuple[int, int], list] = {}
-    for n, t, trial, distinct, far, wall in results:
-        by_cell.setdefault((n, t), []).append((distinct, far, wall))
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(BENCH_FIELDS)
-    for n in args.n_grid:
-        for t in args.t_grid:
-            cell = by_cell.get((n, t), [])
-            if not cell:
-                continue
-            dists = [c[0] for c in cell]
-            mean_wall = 0.0 if args.stable_output else (
-                statistics.fmean(c[2] for c in cell) / 1e9
-            )
-            w.writerow([
-                n, t, family, len(cell),
-                round(statistics.fmean(dists), 2),
-                _p95(dists),
-                round(sum(1 for c in cell if c[1]) / len(cell), 4),
-                round(mean_wall, 6),
-            ])
+    # Results are in task order, so each (n, t) cell is one consecutive run.
+    for (n, t), cell in itertools.groupby(results, key=lambda r: r[:2]):
+        _, _, dists, fars, walls = zip(*cell)
+        mean_wall = 0.0 if args.stable_output else statistics.fmean(walls) / 1e9
+        w.writerow([
+            n, t, family, len(dists),
+            round(statistics.fmean(dists), 2),
+            _p95(dists),
+            round(sum(fars) / len(fars), 4),
+            round(mean_wall, 6),
+        ])
     return 0
 
 
@@ -300,8 +278,8 @@ _at_least_0 = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _epsilon = _checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 _rate_constant = _checked(float, lambda v: v > 0, "a number > 0")
 _grid = _checked(lambda text: [int(v) for v in text.split(",") if v.strip()],
-                 lambda g: g and min(g) >= 1,
-                 "a non-empty, comma-separated list of integers >= 1")
+                 lambda g: g and min(g) >= 1 and len(set(g)) == len(g),
+                 "a non-empty, comma-separated list of distinct integers >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", action="store_true", help="CSV report")
 
     g = sub.add_parser("gen", help="materialize one instance to a directory")
-    g.add_argument("--family", required=True, choices=tuple(_FAMILY_FLAGS))
+    g.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     g.add_argument("--out", required=True, metavar="DIR")
     g.add_argument("-n", dest="n", type=_at_least_1, required=True)
     g.add_argument("--seed", type=int, default=None)
@@ -356,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--t-grid", type=_grid, required=True,
                    help="comma-separated thresholds")
     b.add_argument("--trials", type=_at_least_0, default=3)
-    b.add_argument("--family", choices=tuple(_FAMILY_FLAGS),
+    b.add_argument("--family", choices=tuple(_FAMILIES),
                    default="independent")
     b.add_argument("--seed", type=int, default=None)
     b.add_argument("--cs", type=_rate_constant, default=3.0)

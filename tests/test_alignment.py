@@ -62,6 +62,12 @@ def test_decode_rejects_truncation_and_trailing_bytes():
         SuccinctAlignment.decode(data + b"\x00")
 
 
+def test_encode_rejects_a_backwards_segment():
+    # a segment is stored as its low row and its length, which must be >= 0
+    with pytest.raises(ValueError):
+        SuccinctAlignment(segments=((5, 4, 0),), events=()).encode()
+
+
 def test_decode_rejects_unknown_event_kind():
     raw = bytearray(SuccinctAlignment(segments=(), events=((1, 0, SUBSTITUTION),)).encode())
     raw[-1] = 9  # event kind code past the known range

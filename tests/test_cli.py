@@ -270,6 +270,7 @@ def test_gen_invalid_generator_arguments_exit_2(tmp_path, capsys):
     for args in (["--family", "periodic-splice", "-n", "1024", "--period", "3"],
                  ["--family", "random-edits", "-n", "50", "--k", "-1"],
                  ["--family", "independent", "-n", "0"],
+                 ["--family", "block-shift", "-n", "100", "--blocks", "0"],
                  ["--family", "mystery", "-n", "64"]):
         with pytest.raises(SystemExit) as exc:
             run_cli(["gen", "--out", str(tmp_path / "d"), *args])
@@ -309,6 +310,40 @@ def test_bench_emits_one_row_per_grid_cell():
         assert float(row[7]) == 0.0  # stable output zeroes wall time
 
 
+# Literal rows: a change to a generator, a bench parameter, the per-cell
+# seed, the tester or the row aggregation moves them.
+@pytest.mark.parametrize("family, rows", [
+    ("random-edits", ["512,8,random_edits,2,1024.0,1026,0.0,0.0",
+                      "2048,8,random_edits,2,4096.5,4097,0.0,0.0"]),
+    ("block-shift", ["512,8,block_shift,2,1023.0,1023,0.0,0.0",
+                     "2048,8,block_shift,2,3841.0,4095,0.5,0.0"]),
+    ("periodic-splice", ["512,8,periodic_splice,2,1024.0,1024,0.0,0.0",
+                         "2048,8,periodic_splice,2,4096.0,4096,0.0,0.0"]),
+    ("independent", ["512,8,independent_random,2,34.0,36,1.0,0.0",
+                     "2048,8,independent_random,2,29.0,30,1.0,0.0"]),
+])
+def test_bench_rows_are_pinned(family, rows):
+    code, out = run_cli(["bench", "--n-grid", "512,2048", "--t-grid", "8",
+                         "--trials", "2", "--seed", "0", "--family", family,
+                         "--stable-output"])
+    assert code == 0
+    assert out.splitlines() == [",".join(BENCH_FIELDS), *rows]
+
+
+def test_bench_zero_trials_prints_only_the_header():
+    code, out = run_cli(["bench", "--n-grid", "512,1024", "--t-grid", "8",
+                         "--trials", "0"])
+    assert (code, out) == (0, ",".join(BENCH_FIELDS) + "\n")
+
+
+def test_bench_reports_wall_time_without_stable_output():
+    code, out = run_cli(["bench", "--family", "random-edits", "--n-grid", "512",
+                         "--t-grid", "8", "--trials", "1"])
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert float(row["mean_wall_s"]) > 0
+
+
 def test_bench_block_shift_pairs_stay_close():
     code, out = run_cli(["bench", "--family", "block-shift", "--n-grid", "512",
                          "--t-grid", "8", "--trials", "2", "--stable-output"])
@@ -327,8 +362,9 @@ def test_bench_workers_do_not_change_the_output():
 
 
 def test_bench_flag_validation_exits_2(capsys):
-    # As for run: argparse names the flag; a grid the generator or tester
-    # cannot use is named by their own message
+    # As for run: argparse names the flag, and rejects a repeated grid
+    # value, which would run the same seeds twice; a grid the generator or
+    # tester cannot use is named by their own message
     grid = ["--n-grid", "256", "--t-grid", "4"]
     bad = (
         (["--n-grid", "abc", "--t-grid", "4"], "argument --n-grid:"),
@@ -341,6 +377,8 @@ def test_bench_flag_validation_exits_2(capsys):
         (["--family", "random-edits", "--n-grid", "1", "--t-grid", "8"],
          "edit budget"),
         (["--n-grid", "256", "--t-grid", "0"], "argument --t-grid:"),
+        (["--n-grid", "256,256", "--t-grid", "4"], "argument --n-grid:"),
+        (["--n-grid", "256", "--t-grid", "4,4"], "argument --t-grid:"),
         ([*grid, "--cs", "0"], "argument --cs:"),
         ([*grid, "--cs", "1e-20"], "sampling rate"),
         ([*grid, "--eps", "1.5"], "argument --eps:"),
