@@ -25,6 +25,18 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
+def run_module(argv, cwd):
+    """`python -m gaped.cli` in a fresh interpreter, which sees only the
+    directory holding the gaped package this suite imported, installed or
+    not; cwd is neutral since `-m` puts it on sys.path."""
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(gaped.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "gaped.cli", *argv],
+        capture_output=True, text=True, timeout=60, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": pkg_root},
+    )
+
+
 @pytest.fixture()
 def pair(tmp_path):
     x, y = gen_random_edits(600, 2, seed=5)
@@ -393,20 +405,28 @@ def test_bench_flag_validation_exits_2(capsys):
         assert named in err, argv
 
 
+def test_bench_warns_once_per_cell_whatever_the_workers(tmp_path):
+    # Two cells have t^2 > n.  The parent states each once; the tester's
+    # own warning, printed by whichever process ran a trial, is silenced.
+    argv = ["bench", "--n-grid", "32,48,128", "--t-grid", "8", "--trials", "3",
+            "--stable-output"]
+    serial, parallel = (run_module(argv + ["--workers", w], tmp_path)
+                        for w in ("1", "2"))
+    assert serial.returncode == parallel.returncode == 0
+    assert serial.stdout == parallel.stdout
+    assert serial.stderr == parallel.stderr == "".join(
+        f"gaped: warning: t=8 exceeds sqrt(n)={r} at n={n}; the gap "
+        "guarantee is only argued for t up to sqrt(n)\n"
+        for n, r in ((32, 5), (48, 6)))
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 
 
 def test_module_invocation_smoke(pair, tmp_path):
     xp, yp = pair
-    # The child sees only the directory holding the gaped package this suite
-    # imported, installed or not; cwd is neutral since `-m` puts it on sys.path.
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(gaped.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gaped.cli", "run", "--algo", "scan",
-         "--x", xp, "--y", yp, "-t", "8"],
-        capture_output=True, text=True, timeout=60, cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": pkg_root},
-    )
+    proc = run_module(["run", "--algo", "scan", "--x", xp, "--y", yp, "-t", "8"],
+                      tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "close"

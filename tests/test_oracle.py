@@ -86,9 +86,17 @@ def test_banded_agrees_with_full_on_long_periodic_pairs(pair, band):
 @pytest.mark.parametrize("gather", [4096, 7, 1])
 def test_banded_slides_many_diagonals_in_chunks(monkeypatch, gather):
     # Every live diagonal slides through the long run at once, so the
-    # read-ahead is split across gathers, and the diagonal that reaches
-    # the end can sit in any of them.
+    # word read-ahead is split across gathers of at most `gather` words,
+    # and the diagonal that reaches the end can sit in any of them.
     monkeypatch.setattr(gaped.oracle, "_GATHER", gather)
+    handed = []  # live diagonals handed to each gather
+    slide = gaped.oracle._gather
+
+    def counted(row, ds, lims, live, *words):
+        handed.append(live.size)
+        slide(row, ds, lims, live, *words)
+
+    monkeypatch.setattr(gaped.oracle, "_gather", counted)
     a = b"a" * 3000
     cases = ((a, b"a" * 2990 + b"b" * 10, 10), (a, b"b" * 10 + a, 10),
              (a, a[:2950], 50), (b"ab" * 1500, b"ba" * 1500, 2))
@@ -97,6 +105,58 @@ def test_banded_slides_many_diagonals_in_chunks(monkeypatch, gather):
             want = dist if band >= dist else None
             assert banded_edit_distance(x, y, band) == want, (len(x), len(y), band)
             assert banded_edit_distance(y, x, band) == want, (len(y), len(x), band)
+    assert gather == 4096 or max(handed) > gather  # chunk boundaries crossed
+
+
+@st.composite
+def word_pairs(draw):
+    """x of 0-40 bytes, near a multiple of the 8-byte word, over a few byte
+    values (the zero pad byte among the candidates), and y = x after a few
+    edits with any byte value, either way round."""
+    n = min(40, max(0, 8 * draw(st.integers(0, 5)) + draw(st.integers(-1, 1))))
+    letters = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4))
+    x = bytes(draw(st.lists(st.sampled_from(letters), min_size=n, max_size=n)))
+    y = bytearray(x)
+    for _ in range(draw(st.integers(0, 4))):
+        op, pos = draw(st.integers(0, 2)), draw(st.integers(0, len(y)))
+        byte = draw(st.integers(0, 255))
+        if op == 0:
+            y.insert(pos, byte)
+        elif pos < len(y):
+            y[pos:pos + 1] = b"" if op == 1 else bytes([byte])
+    return (bytes(y), x) if draw(st.booleans()) else (x, bytes(y))
+
+
+@given(pair=word_pairs(), gather=st.sampled_from([4096, 1]))
+@settings(max_examples=400, deadline=None)
+def test_word_slides_match_the_full_dp(pair, gather):
+    # Slides that stop inside a word, end exactly at a word boundary or at
+    # the last row, with pad bytes that match the strings' own bytes; bands
+    # at the distance and one either side.  One-word gathers make short
+    # slides cross gather passes too.
+    x, y = pair
+    d = int(ref_cost_table(x, y)[-1, -1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gaped.oracle, "_GATHER", gather)
+        assert edit_distance(x, y) == d == ref_edit_distance(x, y)
+        for band in range(max(0, d - 1), d + 2):
+            want = d if d <= band else None
+            assert banded_edit_distance(x, y, band) == want, band
+
+
+def test_every_byte_value_slides_to_the_end():
+    # A run of one byte value to the end of both strings, for all 256
+    # values: the zero run matches the pad, which the cap at lim must stop.
+    for v in range(256):
+        c, other = bytes([v]), bytes([v ^ 1])
+        for n in (9, 16):
+            x = c * n
+            for y in (x, x[:-1], x[:-1] + other, c * (n + 8)):
+                d = ref_edit_distance(x, y)
+                for band in range(max(0, d - 1), d + 2):
+                    want = d if d <= band else None
+                    assert banded_edit_distance(x, y, band) == want, (v, n, y)
+                    assert banded_edit_distance(y, x, band) == want, (v, n, y)
 
 
 def test_banded_band_past_both_lengths_is_exact():
