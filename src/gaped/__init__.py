@@ -18,7 +18,6 @@ from .generators import (
     gen_independent_random,
     gen_periodic_splice,
     gen_random_edits,
-    read_instance,
     write_instance,
 )
 from .oracle import banded_edit_distance, edit_distance
@@ -53,7 +52,6 @@ __all__ = [
     "gen_independent_random",
     "gen_periodic_splice",
     "gen_random_edits",
-    "read_instance",
     "run",
     "run_sampled_tester",
     "sample_rows",

@@ -12,12 +12,12 @@ Subcommands:
 
 gen and bench know each --family flag from its one `Family` record.
 
-Reports print as JSON (default) or CSV.  Exit status is 0 for any
-completed run regardless of verdict, 2 for bad flags (argparse names the
-flag and prints the subcommand's usage), 3 for files gaped cannot read
-or write.  All randomness flows from --seed, falling back to the
-GAPED_SEED environment variable, then to 0.  --stable-output zeroes the
-wall-clock fields so output can be compared byte for byte.
+run reports print as JSON, or as CSV with --csv.  Exit status is 0 for
+any completed run regardless of verdict, 2 for bad or unknown flags
+(argparse names the flag and prints the subcommand's usage), 3 for files
+gaped cannot read or write.  All randomness flows from --seed, default 0.
+--stable-output zeroes the wall-clock fields so output can be compared
+byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import csv
 import itertools
 import json
 import math
-import os
 import random
 import statistics
 import sys
@@ -100,20 +99,6 @@ BENCH_FIELDS = (
 )
 
 
-def _resolve_seed(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("GAPED_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"gaped: GAPED_SEED must be an integer, got '{env}'",
-                  file=sys.stderr)
-            raise SystemExit(2)
-    return 0
-
-
 def _load_input(path: str, fasta: bool) -> bytes:
     data = Path(path).read_bytes()
     if fasta:
@@ -129,26 +114,30 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
     except OSError as exc:
         print(f"gaped: cannot read input: {exc}", file=sys.stderr)
         return 3
-    seed = _resolve_seed(args.seed)
     x, y = QueriedString(xb), QueriedString(yb)
     started = time.perf_counter_ns()
     transitions = 0
     try:
-        if args.algo in ("oracle", "scan"):
-            exact = banded_edit_distance if args.algo == "oracle" else selective_scan
-            dist = exact(x, y, args.t)
-            verdict, final_a0 = ("far", args.t + 1) if dist is None else ("close", dist)
-        else:
-            if args.algo == "sampled":
-                v = run_sampled_tester(x, y, args.t, args.cs, random.Random(seed))
+        # Recorded here and stated below in gaped's own form.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if args.algo in ("oracle", "scan"):
+                exact = banded_edit_distance if args.algo == "oracle" else selective_scan
+                dist = exact(x, y, args.t)
+                verdict, final_a0 = ("far", args.t + 1) if dist is None else ("close", dist)
             else:
-                cfg = TesterConfig(t=args.t, epsilon=args.eps, c_s=args.cs, seed=seed)
-                v = run_main_tester(x, y, cfg)
-            verdict, final_a0 = v.answer.value, v.final_a0
-            transitions = v.mode_transitions
+                if args.algo == "sampled":
+                    v = run_sampled_tester(x, y, args.t, args.cs, random.Random(args.seed))
+                else:
+                    v = run_main_tester(x, y, TesterConfig(
+                        t=args.t, epsilon=args.eps, c_s=args.cs, seed=args.seed))
+                verdict, final_a0 = v.answer.value, v.final_a0
+                transitions = v.mode_transitions
     except ValueError as exc:
         parser.error(str(exc))
     wall = 0 if args.stable_output else time.perf_counter_ns() - started
+    for warning in caught:
+        print(f"gaped: warning: {warning.message}", file=sys.stderr)
     ledger = ledger_snapshot(x, y)
     # Key order is the CSV column order; JSON sorts its keys.
     report = {
@@ -165,7 +154,7 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
         "total_accesses": ledger.total_accesses,
         "mode_transitions": transitions,
         "wall_time_ns": wall,
-        "seed": seed,
+        "seed": args.seed,
     }
     if args.csv:
         w = csv.writer(sys.stdout, lineterminator="\n")
@@ -177,24 +166,23 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
-    seed = _resolve_seed(args.seed)
     family = _FAMILIES[args.family]
     if family.required and getattr(args, family.required) is None:
         parser.error(f"--{family.required} is required for {args.family}")
     params = family.gen_params(args)
     try:
-        x, y = family.generate(args.n, seed=seed, **params)
+        x, y = family.generate(args.n, seed=args.seed, **params)
     except ValueError as exc:
         parser.error(str(exc))
     meta = {
         "schema_version": META_SCHEMA_VERSION,
         "family": family.name,
         "n": args.n,
-        "seed": seed,
+        "seed": args.seed,
         "params": params,
         "len_x": len(x),
         "len_y": len(y),
-        "delta_exact": None if args.no_certify else certified_delta(x, y),
+        "delta_exact": certified_delta(x, y),
         "delta_bound": family.bound(params),
     }
     try:
@@ -232,9 +220,8 @@ def _p95(values: tuple[int, ...]) -> int:
 
 def cmd_bench(args, parser: argparse.ArgumentParser) -> int:
     family = _FAMILIES[args.family].name
-    seed = _resolve_seed(args.seed)
     tasks = [
-        (args.family, n, t, trial, seed, args.cs, args.eps)
+        (args.family, n, t, trial, args.seed, args.cs, args.eps)
         for n in args.n_grid
         for t in args.t_grid
         for trial in range(args.trials)
@@ -307,22 +294,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="close/far threshold parameter")
     r.add_argument("--eps", type=_epsilon, default=0.0,
                    help="sampling exponent; far threshold becomes 13 t^(2-eps)")
-    r.add_argument("--seed", type=int, default=None)
+    r.add_argument("--seed", type=int, default=0)
     r.add_argument("--cs", type=_rate_constant, default=3.0,
                    help="sampling-rate constant")
     r.add_argument("--fasta", action="store_true",
                    help="treat inputs as FASTA: drop '>' header lines, join the rest")
     r.add_argument("--stable-output", action="store_true",
                    help="zero wall-clock fields for byte-stable output")
-    fmt = r.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON report (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV report")
+    r.add_argument("--csv", action="store_true", help="CSV report in place of JSON")
 
     g = sub.add_parser("gen", help="materialize one instance to a directory")
     g.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     g.add_argument("--out", required=True, metavar="DIR")
     g.add_argument("-n", dest="n", type=_at_least_1, required=True)
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--sigma", type=int, default=4, help="alphabet size")
     g.add_argument("--k", type=int, default=None,
                    help="edit budget (random-edits)")
@@ -334,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="planted pattern changes (periodic-splice)")
     g.add_argument("--y-only", action="store_true",
                    help="plant changes on the y side only (periodic-splice)")
-    g.add_argument("--no-certify", action="store_true",
-                   help="skip the exact-oracle distance in meta.json")
 
     b = sub.add_parser("bench", help="sweep an (n, t) grid; CSV to stdout")
     b.add_argument("--n-grid", type=_grid, required=True,
@@ -345,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trials", type=_at_least_0, default=3)
     b.add_argument("--family", choices=tuple(_FAMILIES),
                    default="independent")
-    b.add_argument("--seed", type=int, default=None)
+    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--cs", type=_rate_constant, default=3.0)
     b.add_argument("--eps", type=_epsilon, default=0.0)
     b.add_argument("--workers", type=_at_least_1, default=1)
@@ -358,7 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        # parse_args would report these with the top-level usage
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     return args.handler(args, args.command_parser)
 
 

@@ -35,6 +35,7 @@ from .oracle import banded_edit_distance, edit_distance
 log = logging.getLogger(__name__)
 
 ORACLE_CEILING = 4096
+_FAR_TRIES = 32  # seeds gen_certified_far draws before it gives up
 _LETTERS = b"abcdefghijklmnopqrstuvwxyz"
 
 
@@ -182,7 +183,6 @@ def gen_certified_far(
     *,
     far_factor: float = 13.0,
     exponent: float = 2.0,
-    max_tries: int = 32,
 ) -> tuple[bytes, bytes, int]:
     """Independent-random pair certified beyond far_factor * t**exponent.
 
@@ -191,7 +191,7 @@ def gen_certified_far(
     assumption about the generator.
     """
     threshold = int(far_factor * t ** exponent)
-    for attempt in range(max_tries):
+    for attempt in range(_FAR_TRIES):
         x, y = gen_independent_random(n, seed + attempt)
         if certify_far(x, y, threshold):
             if attempt:
@@ -200,7 +200,7 @@ def gen_certified_far(
         log.info("far candidate (seed %d) failed certification; resampling",
                  seed + attempt)
     raise RuntimeError(
-        f"no instance beyond threshold {threshold} in {max_tries} attempts"
+        f"no instance beyond threshold {threshold} in {_FAR_TRIES} attempts"
     )
 
 
@@ -210,11 +210,3 @@ def write_instance(directory, x: bytes, y: bytes, meta: dict) -> None:
     (d / "x.bin").write_bytes(x)
     (d / "y.bin").write_bytes(y)
     (d / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-def read_instance(directory) -> tuple[bytes, bytes, dict]:
-    d = Path(directory)
-    x = (d / "x.bin").read_bytes()
-    y = (d / "y.bin").read_bytes()
-    meta = json.loads((d / "meta.json").read_text())
-    return x, y, meta

@@ -142,29 +142,6 @@ def test_run_stable_output_is_byte_identical(pair):
     assert json.loads(first)["wall_time_ns"] == 0
 
 
-def test_run_seed_comes_from_the_environment(pair, monkeypatch, capsys):
-    xp, yp = pair
-    monkeypatch.setenv("GAPED_SEED", "41")
-    _, out = run_cli(["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "8"])
-    assert json.loads(out)["seed"] == 41
-    monkeypatch.setenv("GAPED_SEED", "not-a-number")
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "8"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err == (
-        "gaped: GAPED_SEED must be an integer, got 'not-a-number'\n")
-
-
-def test_run_explicit_seed_beats_the_environment(pair, monkeypatch):
-    xp, yp = pair
-    monkeypatch.setenv("GAPED_SEED", "41")
-    _, out = run_cli(
-        ["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "8", "--seed", "7"]
-    )
-    assert json.loads(out)["seed"] == 7
-
-
 def test_run_missing_input_exits_3(tmp_path, pair, capsys):
     xp, _ = pair
     code, _ = run_cli(
@@ -193,9 +170,9 @@ def test_run_fasta_strips_headers(tmp_path):
 def test_run_flag_validation_exits_2(pair, capsys):
     xp, yp = pair
     files = ["--x", xp, "--y", yp]
-    # argparse names the flag it rejects; a value only the tester can
-    # judge (a --cs so small the sampling rate underflows) is named by the
-    # tester's own message
+    # argparse names the flag it rejects or does not know; a value only
+    # the tester can judge (a --cs so small the sampling rate underflows)
+    # is named by the tester's own message
     bad = (
         (["--algo", "main", "-t", "0"], "argument -t:"),
         (["--algo", "main", "-t", "x"], "argument -t:"),
@@ -204,7 +181,7 @@ def test_run_flag_validation_exits_2(pair, capsys):
         (["--algo", "main", "-t", "4", "--cs", "1e-20"], "sampling rate"),
         (["--algo", "sampled", "-t", "4", "--cs", "1e-20"], "sampling rate"),
         (["--algo", "mystery", "-t", "4"], "argument --algo:"),
-        (["--algo", "main", "-t", "4", "--json", "--csv"], "argument --csv:"),
+        (["--algo", "main", "-t", "4", "--json"], "unrecognized arguments: --json"),
     )
     for argv, named in bad:
         with pytest.raises(SystemExit) as exc:
@@ -214,6 +191,25 @@ def test_run_flag_validation_exits_2(pair, capsys):
         assert "Traceback" not in err, argv
         assert "usage: gaped run" in err, argv
         assert named in err, argv
+
+
+def test_run_states_the_testers_warning_in_gapeds_form(tmp_path, capsys):
+    # t^2 > n: the main tester warns, and run states it as one line in
+    # the form bench uses; the report is untouched and sampled says nothing
+    x, y = gen_random_edits(100, 2, seed=5)
+    xp, yp = tmp_path / "x.bin", tmp_path / "y.bin"
+    xp.write_bytes(x)
+    yp.write_bytes(y)
+    argv = ["--x", str(xp), "--y", str(yp), "-t", "16", "--stable-output"]
+    main_run, sampled_run = (run_module(["run", "--algo", algo, *argv], tmp_path)
+                             for algo in ("main", "sampled"))
+    assert main_run.returncode == sampled_run.returncode == 0
+    assert main_run.stderr == (
+        "gaped: warning: t=16 exceeds sqrt(n)=10; the gap guarantee is only "
+        "argued for t up to sqrt(n)\n")
+    assert sampled_run.stderr == ""
+    assert main_run.stdout == run_cli(["run", "--algo", "main", *argv])[1]
+    assert capsys.readouterr().err == main_run.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -240,27 +236,19 @@ def test_gen_writes_instance_with_meta(tmp_path):
     assert (out_dir / "y.bin").read_bytes() == y
 
 
-def test_gen_no_certify_skips_the_oracle(tmp_path):
-    out_dir = tmp_path / "inst"
-    _, out = run_cli(
-        ["gen", "--family", "periodic-splice", "--out", str(out_dir),
-         "-n", "2048", "--period", "2", "--transitions", "2", "--no-certify"]
-    )
-    summary = json.loads(out)
-    assert summary["delta_exact"] is None
-    assert summary["delta_bound"] == 3  # one half-period window per change
-
-
 @pytest.mark.parametrize("argv, bound, exact", [
     (["--family", "block-shift", "--blocks", "5", "-n", "600", "--seed", "3"], 10, 6),
     (["--family", "periodic-splice", "--period", "2", "--transitions", "0", "-n", "600"],
      0, 0),
     (["--family", "periodic-splice", "--period", "4", "--transitions", "2", "--y-only",
       "-n", "2048", "--seed", "3"], 10, 9),
+    (["--family", "periodic-splice", "--period", "2", "--transitions", "2", "-n", "2048"],
+     3, 3),
 ])
 def test_gen_bounds_the_certified_distance(tmp_path, argv, bound, exact):
-    # block-shift's 2t, a splice without transitions, and a y-only splice's
-    # half period plus one period per excursion
+    # block-shift's 2t, a splice without transitions, a y-only splice's
+    # half period plus one period per excursion, and a two-sided splice's
+    # half period per change, opener included
     code, out = run_cli(["gen", "--out", str(tmp_path / "inst"), *argv])
     assert code == 0
     summary = json.loads(out)
@@ -279,15 +267,21 @@ def test_gen_missing_family_parameter_exits_2(tmp_path, capsys):
 
 
 def test_gen_invalid_generator_arguments_exit_2(tmp_path, capsys):
-    for args in (["--family", "periodic-splice", "-n", "1024", "--period", "3"],
-                 ["--family", "random-edits", "-n", "50", "--k", "-1"],
-                 ["--family", "independent", "-n", "0"],
-                 ["--family", "block-shift", "-n", "100", "--blocks", "0"],
-                 ["--family", "mystery", "-n", "64"]):
+    for args, named in (
+        (["--family", "periodic-splice", "-n", "1024", "--period", "3"], "period"),
+        (["--family", "random-edits", "-n", "50", "--k", "-1"], "edit budget"),
+        (["--family", "independent", "-n", "0"], "argument -n:"),
+        (["--family", "block-shift", "-n", "100", "--blocks", "0"], "block count"),
+        (["--family", "mystery", "-n", "64"], "argument --family:"),
+        (["--family", "independent", "-n", "64", "--no-certify"],
+         "unrecognized arguments: --no-certify"),
+    ):
         with pytest.raises(SystemExit) as exc:
             run_cli(["gen", "--out", str(tmp_path / "d"), *args])
         assert exc.value.code == 2, args
-        assert "usage: gaped gen" in capsys.readouterr().err, args
+        err = capsys.readouterr().err
+        assert "usage: gaped gen" in err, args
+        assert named in err, args
     assert not (tmp_path / "d").exists()
 
 
