@@ -126,13 +126,13 @@ def validate_alignment(alignment: SuccinctAlignment, x, y) -> int:
     Returns Hamming mismatches along each segment's diagonal plus one per
     unit diagonal move between consecutive segments.  Positions falling
     outside either string count as mismatches.  Raises MalformedAlignment
-    when the segment chain is broken.  Reads everything; verification
-    only, never called by the testers.
+    when the segment chain is empty, broken or starts before row 0.  Reads
+    everything; verification only, never called by the testers.
     """
     xb, yb = as_queried(x).data, as_queried(y).data  # unmetered
     segs = alignment.segments
-    if not segs:
-        raise MalformedAlignment("empty segment chain")
+    if not segs or segs[0][0] < 0:  # later segments start no earlier
+        raise MalformedAlignment("segment chain is empty or starts before row 0")
     cost = 0
     prev_hi = segs[0][0]
     prev_d = segs[0][2]

@@ -34,14 +34,13 @@ class PeriodState:
     """Snapshot of the periodic regime taken when contiguous scanning exits.
 
     i_pat: first row of the regime (the start of the quiet window).
-    g: period length, the gcd of pairwise differences of the diagonal set.
-    p: the period pattern, p = x[i_pat .. i_pat+g-1].
+    p: the period pattern x[i_pat .. i_pat+g-1]; its length g is the gcd
+    of pairwise differences of the diagonal set.
     d_max: top diagonal of the set at entry; m is the set's spread, frozen
     at entry and never recomputed mid-regime.
     """
 
     i_pat: int
-    g: int
     p: bytes
     d_max: int
     m: int
@@ -56,8 +55,7 @@ class PeriodState:
             if c is None:
                 raise ValueError("period pattern window runs past the string")
             p.append(c)
-        return cls(i_pat=i_pat, g=g, p=bytes(p), d_max=diagonals[-1],
-                   m=diagonals[-1] - diagonals[0])
+        return cls(i_pat=i_pat, p=bytes(p), d_max=diagonals[-1], m=diagonals[-1] - diagonals[0])
 
 
 def row_deviates(x, y, state: PeriodState, k: int) -> bool:
@@ -68,7 +66,7 @@ def row_deviates(x, y, state: PeriodState, k: int) -> bool:
     by the contiguous scan's out-of-range mismatches, not reported as
     pattern breaks.
     """
-    c = state.p[(k - state.i_pat) % state.g]
+    c = state.p[(k - state.i_pat) % len(state.p)]
     cx = x.read(k)
     if cx is not None and cx != c:
         return True

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,14 @@ from .verdict import Answer, Verdict
 
 
 def check_parameters(t, c_s) -> None:
-    """Reject a t that is not an integer >= 1 and a c_s that is not > 0.
+    """Reject a t that is not an integer in [1, max float] and a c_s not > 0.
 
-    Python and numpy integers pass, floats such as 2.5 do not.  The test
-    is `not c_s > 0` so that NaN, which min(1, nan) would turn into rate 1,
-    is rejected too.
+    Python and numpy integers pass, floats such as 2.5 do not, and a larger
+    t would overflow t ** (1 - epsilon).  The test is `not c_s > 0` so that
+    NaN, which min(1, nan) would turn into rate 1, is rejected too.
     """
-    if not isinstance(t, numbers.Integral) or t < 1:
-        raise ValueError(f"t must be an integer of at least 1, got {t!r}")
+    if not isinstance(t, numbers.Integral) or not 1 <= t <= sys.float_info.max:
+        raise ValueError(f"t must be an integer from 1 to {sys.float_info.max:.6g}, got {t!r}")
     if not c_s > 0:
         raise ValueError(f"sampling constant must be positive, got {c_s!r}")
 

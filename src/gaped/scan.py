@@ -7,11 +7,11 @@ mismatch; everything else can be discarded, because its cost cannot change
 on the next row.  Active diagonals are charged exactly when a potent cell
 faces a mismatch, so the per-diagonal counters trace true grid costs.
 
-Bookkeeping: each diagonal keeps its counter plus a one-deep history (the
-value before its most recent increment, and the row of that increment) and
-the last row at which it was judged potent.  That is enough to answer every
-query the potency rule makes, since a diagonal changes at most once per row
-and the rule only looks one row back.
+Bookkeeping: each diagonal keeps its counter, the row of its latest
+increment and the last row at which it was judged potent.  Every increment
+adds exactly 1, so the value before the latest one is the counter less 1.
+That is enough to answer every query the potency rule makes, since a
+diagonal changes at most once per row and the rule only looks one row back.
 """
 
 from __future__ import annotations
@@ -24,20 +24,19 @@ class CostArray:
 
     a[d] starts at |d| (the cost of ever reaching diagonal d).  The last two
     rows of values and the two potency flag rows the update rule needs are
-    reconstructed from stamps: `changed_row`/`before` give the value a
-    diagonal held before its latest increment, and `potent_row` holds the
-    last row at which the diagonal was judged potent (potent at row r iff
-    potent_row == r; flags default to not potent).
+    reconstructed from stamps: `changed_row` holds the row of a diagonal's
+    latest increment, before which it held one less, and `potent_row` holds
+    the last row at which the diagonal was judged potent (potent at row r
+    iff potent_row == r; flags default to not potent).
     """
 
-    __slots__ = ("t", "a", "changed_row", "before", "potent_row")
+    __slots__ = ("t", "a", "changed_row", "potent_row")
 
     def __init__(self, t: int):
         width = 2 * t + 1
         self.t = t
         self.a = [abs(k - t) for k in range(width)]
         self.changed_row = [-3] * width
-        self.before = [0] * width
         self.potent_row = [-3] * width
 
     def cost(self, d: int) -> int:
@@ -50,13 +49,10 @@ class CostArray:
         at most once per row, so one level of history suffices.
         """
         k = d + self.t
-        if self.changed_row[k] >= row:
-            return self.before[k]
-        return self.a[k]
+        return self.a[k] - (self.changed_row[k] >= row)
 
     def charge(self, d: int, row: int) -> None:
         k = d + self.t
-        self.before[k] = self.a[k]
         self.changed_row[k] = row
         self.a[k] += 1
 

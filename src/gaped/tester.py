@@ -66,20 +66,32 @@ class TesterConfig:
             raise ValueError("epsilon must lie in [0, 1)")
 
 
+class RangeWarning(UserWarning):
+    """t is past sqrt(n), where the gap guarantee is no longer argued."""
+
+
+def range_warning(n: int, t: int) -> str | None:
+    """The t <= sqrt(n) rule: what to warn of at (n, t), or None."""
+    if n and t * t > n:
+        return (f"t={t} exceeds sqrt(n)={math.isqrt(n)} at n={n}; the gap "
+                "guarantee is only argued for t up to sqrt(n)")
+    return None
+
+
 @dataclass
 class RunStats:
     """Counters and event log accumulated over one run.
 
     sampled_rows counts each sampled row once: a block check adds the
     rows it queued, and one sampling_round call takes each of them.
+    search_rows lists the rows that started a transition search.  The
+    mode-switch count is on the Verdict, a Close run's segments in its alignment.
     """
 
-    mode_transitions: int = 0
     contiguous_rows: int = 0
     sampled_rows: int = 0
     search_rows: list[int] = field(default_factory=list)
     length_shortcircuit: bool = False
-    segments: list[tuple[int, int, int]] = field(default_factory=list)
     events: list[tuple[int, int, str]] = field(default_factory=list)
 
 
@@ -91,9 +103,10 @@ class ModeState:
     to the next probed rows; each is the one GapStream of its random
     stream, and a block shows its gaps ahead.  The walk stops at row end.
     ahead holds the rows to hop to, popped from the end, then None if one
-    fails.
-    Each entry is popped by its own sampling_round call, one per sampled
-    row, so stats.sampled_rows grows by len(ahead) once per block.
+    fails; each entry is popped by its own sampling_round call, one per
+    sampled row, so stats.sampled_rows grows by len(ahead) once per block.
+    segments are the alignment's closed ones; the open one runs on rep_d
+    from seg_start.
     """
 
     sampling: bool
@@ -109,6 +122,8 @@ class ModeState:
     ahead: list[int | None] = field(default_factory=list)
     rep_d: int = 0
     seg_start: int = 0
+    segments: list[tuple[int, int, int]] = field(default_factory=list)
+    mode_transitions: int = 0
 
 
 def _split_streams(seed) -> tuple[random.Random, random.Random]:
@@ -160,18 +175,11 @@ def contiguous_round(state: ModeState, x, y) -> None:
     stats.contiguous_rows += 1
     if not nxt:
         return
-    if len(nxt) >= 2:
-        need = 2 * (nxt[-1] - nxt[0]) + 1
-    else:
-        need = 2
+    need = max(2, 2 * (nxt[-1] - nxt[0]) + 1)
     if state.quiet_rows >= need:
-        i_pat = state.i - need
-        if len(nxt) >= 2:
-            state.period = PeriodState.capture(x, nxt, i_pat)
-        else:
-            state.period = None
+        state.period = PeriodState.capture(x, nxt, state.i - need) if len(nxt) >= 2 else None
         state.sampling = True
-        stats.mode_transitions += 1
+        state.mode_transitions += 1
         state.i = state.i - 1 + state.draw_gap()
 
 
@@ -195,7 +203,7 @@ def _check_block(state: ModeState, x, y) -> list[int | None]:
         fails = (cx < 0) | (cx != y.look(ys))
     else:
         ys = block + period.d_max
-        c = np.frombuffer(period.p, dtype=np.uint8)[(block - period.i_pat) % period.g]
+        c = np.frombuffer(period.p, dtype=np.uint8)[(block - period.i_pat) % len(period.p)]
         cy = y.look(ys)
         x_broke = (cx >= 0) & (cx != c)
         fails = x_broke | ((cy >= 0) & (cy != c))
@@ -258,7 +266,7 @@ def sampling_round(state: ModeState, x, y) -> bool:
     state.diagonals = sorted(live)
     state.period = None
     state.sampling = False
-    stats.mode_transitions += 1
+    state.mode_transitions += 1
     state.quiet_rows = 0
     state.i = rs + 1
     return True
@@ -266,12 +274,11 @@ def sampling_round(state: ModeState, x, y) -> bool:
 
 def _move_representative(state: ModeState, new: int, row: int) -> None:
     """Close the segment at `row`; walk to `new`, one diag event per step."""
-    stats = state.stats
-    stats.segments.append((state.seg_start, row, state.rep_d))
+    state.segments.append((state.seg_start, row, state.rep_d))
     step = 1 if new > state.rep_d else -1
     kind = DIAG_UP if step > 0 else DIAG_DOWN
     for dd in range(state.rep_d + step, new + step, step):
-        stats.events.append((row, dd, kind))
+        state.stats.events.append((row, dd, kind))
     state.rep_d = new
     state.seg_start = row
 
@@ -303,12 +310,9 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
     x, y = as_queried(x), as_queried(y)
     n = max(len(x), len(y))
     t = cfg.t
-    if n and t * t > n:
-        warnings.warn(
-            f"t={t} exceeds sqrt(n)={math.isqrt(n)}; the gap guarantee "
-            "is only argued for t up to sqrt(n)",
-            stacklevel=2,
-        )
+    message = range_warning(n, t)
+    if message:
+        warnings.warn(message, RangeWarning, stacklevel=2)
     if abs(len(x) - len(y)) > t:
         stats = RunStats(length_shortcircuit=True)
         return Verdict(Answer.FAR, t + 1, ledger_snapshot(x, y), 0, None, stats)
@@ -329,14 +333,14 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
     if answer is Answer.CLOSE:
         if state.rep_d != 0:
             _move_representative(state, 0, state.end)
-        stats.segments.append((state.seg_start, state.end, state.rep_d))
-        alignment = SuccinctAlignment(segments=tuple(stats.segments),
+        state.segments.append((state.seg_start, state.end, state.rep_d))
+        alignment = SuccinctAlignment(segments=tuple(state.segments),
                                       events=tuple(stats.events))
     return Verdict(
         answer=answer,
         final_a0=min(state.costs.cost(0), t + 1),
         ledger=ledger_snapshot(x, y),
-        mode_transitions=stats.mode_transitions,
+        mode_transitions=state.mode_transitions,
         alignment=alignment,
         stats=stats,
     )

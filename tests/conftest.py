@@ -350,7 +350,7 @@ def ref_sampling_round(state, x, y) -> bool:
     state.diagonals = sorted(live)
     state.period = None
     state.sampling = False
-    stats.mode_transitions += 1
+    state.mode_transitions += 1
     state.quiet_rows = 0
     state.i = rs + 1
     return True

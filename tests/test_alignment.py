@@ -116,6 +116,10 @@ def test_validate_rejects_broken_chains():
     backwards = SuccinctAlignment(segments=((0, 2, 0), (1, 4, 0)), events=())
     with pytest.raises(MalformedAlignment):
         validate_alignment(backwards, b"abcd", b"abcd")
+    # rows -2 and -1 lie outside x; they must not wrap to its end
+    before_x = SuccinctAlignment(segments=((-2, 2, 2),), events=())
+    with pytest.raises(MalformedAlignment):
+        validate_alignment(before_x, b"abab", b"abab")
 
 
 def test_validate_allows_deletion_gaps_up_to_the_drop():

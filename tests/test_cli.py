@@ -172,7 +172,9 @@ def test_run_flag_validation_exits_2(pair, capsys):
     files = ["--x", xp, "--y", yp]
     # argparse names the flag it rejects or does not know; a value only
     # the tester can judge (a --cs so small the sampling rate underflows)
-    # is named by the tester's own message
+    # is named by the tester's own message, and so is a -t past the
+    # float range, which would overflow the sampling rate
+    huge = "1" + "0" * 400
     bad = (
         (["--algo", "main", "-t", "0"], "argument -t:"),
         (["--algo", "main", "-t", "x"], "argument -t:"),
@@ -180,6 +182,8 @@ def test_run_flag_validation_exits_2(pair, capsys):
         (["--algo", "main", "-t", "4", "--cs", "0"], "argument --cs:"),
         (["--algo", "main", "-t", "4", "--cs", "1e-20"], "sampling rate"),
         (["--algo", "sampled", "-t", "4", "--cs", "1e-20"], "sampling rate"),
+        (["--algo", "main", "-t", huge], "t must be"),
+        (["--algo", "sampled", "-t", huge], "t must be"),
         (["--algo", "mystery", "-t", "4"], "argument --algo:"),
         (["--algo", "main", "-t", "4", "--json"], "unrecognized arguments: --json"),
     )
@@ -205,8 +209,8 @@ def test_run_states_the_testers_warning_in_gapeds_form(tmp_path, capsys):
                              for algo in ("main", "sampled"))
     assert main_run.returncode == sampled_run.returncode == 0
     assert main_run.stderr == (
-        "gaped: warning: t=16 exceeds sqrt(n)=10; the gap guarantee is only "
-        "argued for t up to sqrt(n)\n")
+        "gaped: warning: t=16 exceeds sqrt(n)=10 at n=100; the gap guarantee "
+        "is only argued for t up to sqrt(n)\n")
     assert sampled_run.stderr == ""
     assert main_run.stdout == run_cli(["run", "--algo", "main", *argv])[1]
     assert capsys.readouterr().err == main_run.stderr
@@ -412,6 +416,19 @@ def test_bench_warns_once_per_cell_whatever_the_workers(tmp_path):
         f"gaped: warning: t=8 exceeds sqrt(n)={r} at n={n}; the gap "
         "guarantee is only argued for t up to sqrt(n)\n"
         for n, r in ((32, 5), (48, 6)))
+
+
+def test_bench_warns_at_the_cells_n_when_a_trial_is_longer(capsys):
+    # random-edits trials here have y of 41 (n=40) and 62 (n=60) bytes, so
+    # the tester's own warnings would name those lengths; the cell's line
+    # names the grid's n, once per cell
+    code, _ = run_cli(["bench", "--family", "random-edits", "--n-grid", "40,60",
+                       "--t-grid", "8", "--trials", "3", "--stable-output"])
+    assert code == 0
+    assert capsys.readouterr().err == "".join(
+        f"gaped: warning: t=8 exceeds sqrt(n)={r} at n={n}; the gap "
+        "guarantee is only argued for t up to sqrt(n)\n"
+        for n, r in ((40, 6), (60, 7)))
 
 
 # ---------------------------------------------------------------------------

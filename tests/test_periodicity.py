@@ -36,20 +36,20 @@ def test_capture_takes_the_gcd_of_diagonal_differences():
     x = _periodic(b"abcdef", 40)
     for diagonals, g, m in (([0, 4], 4, 4), ([-2, 0, 4], 2, 6), ([0, 3, 9], 3, 9)):
         st = PeriodState.capture(q(x), diagonals, i_pat=5)
-        assert (st.g, st.d_max, st.m) == (g, diagonals[-1], m)
+        assert (len(st.p), st.d_max, st.m) == (g, diagonals[-1], m)
         assert st.p == x[5 : 5 + g]
 
 
 def test_capture_reads_the_trailing_pattern():
     x = _periodic(b"ab", 40)
     st = PeriodState.capture(q(x), [0, 2], i_pat=19)
-    assert st.g == 2
+    assert len(st.p) == 2
     assert st.m == 2
     assert st.p == x[19:21]
     assert st.d_max == 2
     # slots continue the tiling in both directions
     for k in (4, 19, 20, 22, 35):
-        assert st.p[(k - st.i_pat) % st.g] == x[k]
+        assert st.p[(k - st.i_pat) % len(st.p)] == x[k]
 
 
 def test_capture_rejects_windows_off_the_string():

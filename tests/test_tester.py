@@ -50,6 +50,9 @@ def test_config_validation():
     for t in (2.5, 4.0):
         with pytest.raises(ValueError):
             TesterConfig(t=t)
+    # past the float range, t ** (1 - epsilon) would overflow
+    with pytest.raises(ValueError, match="t must be"):
+        TesterConfig(t=10 ** 400)
     assert TesterConfig(t=np.int64(4)).t == 4
 
 
@@ -252,7 +255,7 @@ def test_one_round_call_per_counted_row(monkeypatch):
         if ending == "cut":
             size, queued, failed = blocks[-1]
             assert v.answer is Answer.CLOSE and last == ["sampling_round", False]
-            assert s.mode_transitions >= 2 and not failed and queued < size
+            assert v.mode_transitions >= 2 and not failed and queued < size
         elif ending == "failed":
             assert v.answer is Answer.FAR and last == ["sampling_round", True]
             assert blocks[-1][2]
@@ -277,7 +280,7 @@ def test_a_short_run_peeks_no_more_gaps_than_its_rows(monkeypatch):
     ]:
         sizes.clear()
         v = _run(x, y, **kw)
-        assert v.stats.mode_transitions >= 2 and v.stats.sampled_rows > 0
+        assert v.mode_transitions >= 2 and v.stats.sampled_rows > 0
         assert sizes and max(sizes) <= most
 
 
@@ -306,7 +309,7 @@ def _fingerprint(x, y, cfg):
     v = run(qx, qy, cfg)
     s = v.stats
     return (v.answer, v.final_a0, v.ledger, v.mode_transitions, s.sampled_rows,
-            s.contiguous_rows, s.search_rows, s.segments, s.events, qx.total, qy.total,
+            s.contiguous_rows, s.search_rows, v.alignment, s.events, qx.total, qy.total,
             qx.positions_read(), qy.positions_read())
 
 
