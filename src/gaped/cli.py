@@ -61,7 +61,7 @@ class Family(NamedTuple):
 
     name: str  # what meta.json and the bench CSV record
     generate: Callable  # called as generate(n, seed=seed, **params)
-    required: str | None  # the gen flag the family needs, or None
+    flags: tuple[str, ...]  # the gen flags it reads; it needs the first
     gen_params: Callable[[argparse.Namespace], dict]  # from gen's flags
     bench_params: Callable[[int], dict]  # bench's params at t
     bound: Callable[[dict], int | None]  # the construction's distance bound
@@ -77,18 +77,18 @@ def _splice_bound(p: dict) -> int:
 
 
 _FAMILIES = {
-    "random-edits": Family("random_edits", gen_random_edits, "k",
+    "random-edits": Family("random_edits", gen_random_edits, ("k",),
                            lambda a: {"k": a.k, "sigma": a.sigma},
                            lambda t: {"k": max(1, t // 2)}, lambda p: p["k"]),
-    "block-shift": Family("block_shift", gen_block_shift, "blocks",
+    "block-shift": Family("block_shift", gen_block_shift, ("blocks",),
                           lambda a: {"t": a.blocks, "sigma": a.sigma},
                           lambda t: {"t": t}, lambda p: 2 * p["t"]),
     "periodic-splice": Family(
-        "periodic_splice", gen_periodic_splice, "period",
-        lambda a: {"g": a.period, "num_transitions": a.transitions,
+        "periodic_splice", gen_periodic_splice, ("period", "transitions", "y_only"),
+        lambda a: {"g": a.period, "num_transitions": a.transitions or 0,
                    "y_only": bool(a.y_only), "sigma": a.sigma},
         lambda t: {"g": max(2, t // 4), "num_transitions": 3}, _splice_bound),
-    "independent": Family("independent_random", gen_independent_random, None,
+    "independent": Family("independent_random", gen_independent_random, (),
                           lambda a: {"sigma": a.sigma},
                           lambda t: {}, lambda p: None),
 }
@@ -167,8 +167,11 @@ def cmd_run(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
     family = _FAMILIES[args.family]
-    if family.required and getattr(args, family.required) is None:
-        parser.error(f"--{family.required} is required for {args.family}")
+    if family.flags and getattr(args, family.flags[0]) is None:
+        parser.error(f"--{family.flags[0]} is required for {args.family}")
+    for flag in (f for other in _FAMILIES.values() for f in other.flags if f not in family.flags):
+        if getattr(args, flag) is not None:
+            parser.error(f"--{flag.replace('_', '-')} does not apply to {args.family}")
     params = family.gen_params(args)
     try:
         x, y = family.generate(args.n, seed=args.seed, **params)
@@ -227,9 +230,11 @@ def cmd_bench(args, parser: argparse.ArgumentParser) -> int:
         for trial in range(args.trials)
     ]
     try:
-        if args.workers > 1:
+        # A fork pool starts every worker at its first submit: no more than the tasks.
+        workers = min(args.workers, len(tasks))
+        if workers > 1:
             # The pool re-raises a worker's exception here, in the parent.
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_bench_task, *zip(*tasks)))
         else:
             results = [_bench_task(*task) for task in tasks]
@@ -314,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="block count (block-shift)")
     g.add_argument("--period", type=int, default=None,
                    help="period length (periodic-splice)")
-    g.add_argument("--transitions", type=int, default=0,
+    g.add_argument("--transitions", type=int, default=None,
                    help="planted pattern changes (periodic-splice)")
-    g.add_argument("--y-only", action="store_true",
+    g.add_argument("--y-only", action="store_true", default=None,
                    help="plant changes on the y side only (periodic-splice)")
 
     b = sub.add_parser("bench", help="sweep an (n, t) grid; CSV to stdout")

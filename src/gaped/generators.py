@@ -166,16 +166,6 @@ def certified_delta(x: bytes, y: bytes) -> int | None:
     return None
 
 
-def certify_far(x: bytes, y: bytes, threshold: int) -> bool:
-    """Exact certificate that the distance exceeds threshold.
-
-    One path at every size: the banded oracle with band = threshold.  It
-    returns None exactly when no alignment costs threshold or less, in
-    O(n + threshold^2) time.
-    """
-    return banded_edit_distance(x, y, threshold) is None
-
-
 def gen_certified_far(
     n: int,
     t: int,
@@ -193,7 +183,7 @@ def gen_certified_far(
     threshold = int(far_factor * t ** exponent)
     for attempt in range(_FAR_TRIES):
         x, y = gen_independent_random(n, seed + attempt)
-        if certify_far(x, y, threshold):
+        if banded_edit_distance(x, y, threshold) is None:
             if attempt:
                 log.info("far instance certified after %d resample(s)", attempt)
             return x, y, threshold

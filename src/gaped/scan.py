@@ -12,6 +12,9 @@ increment and the last row at which it was judged potent.  Every increment
 adds exactly 1, so the value before the latest one is the counter less 1.
 That is enough to answer every query the potency rule makes, since a
 diagonal changes at most once per row and the rule only looks one row back.
+Every cell the rule asks about exists: diagonals start at (0, 0) and
+spread to d-1 on the next row and to d+1 on the same row, so each visited
+cell has i + d >= 0, and row 0 visits only d >= 0.
 """
 
 from __future__ import annotations
@@ -69,16 +72,19 @@ def is_potent(
     """Potency of (i, d) under the counters in `costs`.
 
     An in-neighbor dominates when it sits exactly one below the cell's
-    cost; neighbors outside the band, outside the grid, or missing entirely
-    never dominate.  A dominating left neighbor must be potent on this row
-    and face a mismatch entering the next one; a dominating upper-right
-    neighbor must have been potent on the previous row and face a mismatch
-    entering this one.  Undominated cells are potent outright.
+    cost; neighbors outside the band never dominate.  Nor, on the cells
+    the callers visit, do those outside the grid: at i + d = 0 the cell
+    holds |d| and its left neighbor at least |d| + 1; at row 0 the cell
+    holds d and its upper-right neighbor d + 1.  A dominating left
+    neighbor must be potent on this row and face a mismatch entering the
+    next one; a dominating upper-right neighbor must have been potent on
+    the previous row and face a mismatch entering this one.  Undominated
+    cells are potent outright.
     """
     t = costs.t
     below = costs.cost_at_row(d, i) - 1
-    left = d - 1 >= -t and i + d - 1 >= 0 and costs.cost_at_row(d - 1, i) == below
-    upper_right = d + 1 <= t and i >= 1 and costs.cost_at_row(d + 1, i - 1) == below
+    left = d - 1 >= -t and costs.cost_at_row(d - 1, i) == below
+    upper_right = d + 1 <= t and costs.cost_at_row(d + 1, i - 1) == below
     if left and (
         not costs.was_potent(d - 1, i) or bytes_match(x.read(i), y.read(i + d - 1))
     ):

@@ -91,7 +91,6 @@ class RunStats:
     contiguous_rows: int = 0
     sampled_rows: int = 0
     search_rows: list[int] = field(default_factory=list)
-    length_shortcircuit: bool = False
     events: list[tuple[int, int, str]] = field(default_factory=list)
 
 
@@ -314,8 +313,7 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
     if message:
         warnings.warn(message, RangeWarning, stacklevel=2)
     if abs(len(x) - len(y)) > t:
-        stats = RunStats(length_shortcircuit=True)
-        return Verdict(Answer.FAR, t + 1, ledger_snapshot(x, y), 0, None, stats)
+        return Verdict(Answer.FAR, t + 1, ledger_snapshot(x, y), 0, None, RunStats())
     state = initial_state(x, y, cfg)
     stats = state.stats
     answer = Answer.CLOSE

@@ -289,6 +289,41 @@ def test_gen_invalid_generator_arguments_exit_2(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_gen_rejects_another_familys_flags(tmp_path, capsys):
+    for args, named in (
+        (["--family", "independent", "--k", "5"], "--k does not apply to independent"),
+        (["--family", "independent", "--period", "4"],
+         "--period does not apply to independent"),
+        (["--family", "random-edits", "--k", "3", "--transitions", "2"],
+         "--transitions does not apply to random-edits"),
+        (["--family", "block-shift", "--blocks", "2", "--y-only"],
+         "--y-only does not apply to block-shift"),
+        (["--family", "periodic-splice", "--period", "2", "--k", "1"],
+         "--k does not apply to periodic-splice"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen", "--out", str(tmp_path / "d"), "-n", "64", *args])
+        assert exc.value.code == 2, args
+        err = capsys.readouterr().err
+        assert "usage: gaped gen" in err, args
+        assert named in err, args
+    assert not (tmp_path / "d").exists()
+
+
+def test_gen_records_the_flags_left_out(tmp_path):
+    # --sigma applies to every family; splice's omitted flags keep their
+    # defaults in meta.json
+    for args, params in (
+        (["--family", "independent", "--sigma", "2"], {"sigma": 2}),
+        (["--family", "periodic-splice", "--period", "4"],
+         {"g": 4, "num_transitions": 0, "y_only": False, "sigma": 4}),
+    ):
+        out_dir = tmp_path / args[1]
+        code, _ = run_cli(["gen", "--out", str(out_dir), "-n", "1024", *args])
+        assert code == 0, args
+        assert json.loads((out_dir / "meta.json").read_text())["params"] == params
+
+
 def test_gen_unwritable_out_exits_3(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -369,6 +404,40 @@ def test_bench_workers_do_not_change_the_output():
     _, serial = run_cli(argv)
     _, parallel = run_cli(argv + ["--workers", "2"])
     assert serial == parallel
+
+
+class _RecordingPool:
+    """A ProcessPoolExecutor stand-in that records max_workers and maps in-process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_bench_starts_no_more_workers_than_tasks(monkeypatch):
+    # A fork pool starts every worker at its first submit; one task or
+    # none runs in this process.  The stand-in starts no process.
+    monkeypatch.setattr("gaped.cli.ProcessPoolExecutor", _RecordingPool)
+    for n_grid, trials, workers, started in (("512,1024", "3", "500", [6]),
+                                             ("512", "1", "500", []),
+                                             ("512,1024", "0", "2", [])):
+        monkeypatch.setattr(_RecordingPool, "started", [])
+        argv = ["bench", "--n-grid", n_grid, "--t-grid", "8", "--trials", trials,
+                "--stable-output"]
+        _, serial = run_cli(argv)
+        assert run_cli([*argv, "--workers", workers]) == (0, serial)
+        assert _RecordingPool.started == started, (n_grid, trials)
+    assert serial == ",".join(BENCH_FIELDS) + "\n"
 
 
 def test_bench_flag_validation_exits_2(capsys):

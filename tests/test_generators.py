@@ -8,7 +8,6 @@ import pytest
 from conftest import ref_cost_table, ref_edit_distance
 from gaped.generators import (
     certified_delta,
-    certify_far,
     gen_block_shift,
     gen_certified_far,
     gen_independent_random,
@@ -154,14 +153,14 @@ def test_certified_delta_declines_large_instances():
 def test_certify_far_uses_the_oracle_when_it_fits():
     x, y = gen_independent_random(1024, 2, sigma=8)
     d = int(ref_cost_table(x, y)[-1, -1])
-    assert certify_far(x, y, d - 1)
-    assert not certify_far(x, y, d)
+    assert banded_edit_distance(x, y, d - 1) is None
+    assert banded_edit_distance(x, y, d) == d
 
 
 def test_certify_far_banded_path_on_large_instances():
     x, y = gen_independent_random(8192, 3, sigma=8)
-    assert certify_far(x, y, 250)
-    assert not certify_far(x, y, 8192)
+    assert banded_edit_distance(x, y, 250) is None
+    assert banded_edit_distance(x, y, 8192) is not None
 
 
 def test_gen_certified_far_meets_its_threshold():

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gaped.alignment import SuccinctAlignment, validate_alignment
-from gaped.generators import certify_far
 from gaped.oracle import banded_edit_distance, edit_distance
 from gaped.qstring import QueriedString, as_queried, bytes_match, ledger_snapshot
 from gaped.sampled import run_sampled_tester
@@ -73,7 +72,6 @@ ENTRY_POINTS = {
     "selective_scan": lambda x, y: selective_scan(x, y, 4),
     "edit_distance": edit_distance,
     "banded_edit_distance": lambda x, y: banded_edit_distance(x, y, 4),
-    "certify_far": lambda x, y: certify_far(x, y, 2),
     "validate_alignment": lambda x, y: validate_alignment(_DIAGONAL, x, y),
     "QueriedString": lambda x, y: (QueriedString(x).data, QueriedString(y).data),
 }

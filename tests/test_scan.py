@@ -1,10 +1,12 @@
 """Selective scan: exactness, potency tracking, bookkeeping contracts."""
 
 import random
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaped.scan
 from conftest import (
     mutate,
     periodic_pairs,
@@ -17,6 +19,7 @@ from conftest import (
 from gaped.oracle import banded_edit_distance
 from gaped.qstring import QueriedString
 from gaped.scan import CostArray, selective_scan
+from gaped.tester import TesterConfig, run
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,47 @@ def test_scan_reads_each_position_of_x_at_most_dozens_of_times():
 
 # ---------------------------------------------------------------------------
 # potency bookkeeping against brute force
+
+
+def _potency_cells(call):
+    """The (i, d) of every cell gaped.scan.is_potent is asked about during call()."""
+    cells = []
+    is_potent = gaped.scan.is_potent
+
+    def observed(c, i, d, qx, qy):
+        cells.append((i, d))
+        return is_potent(c, i, d, qx, qy)
+
+    gaped.scan.is_potent = observed
+    try:
+        call()
+    finally:
+        gaped.scan.is_potent = is_potent
+    return cells
+
+
+@st.composite
+def edit_pairs(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
+    x = random_bytes(rng, rng.randrange(0, 300))
+    return x, mutate(rng, x, rng.randrange(0, 20))
+
+
+@given(pair=st.one_of(periodic_pairs(max_g=6, max_sigma=4, max_edits=12), edit_pairs()),
+       t=st.integers(min_value=1, max_value=16),
+       c_s=st.sampled_from((0.3, 1.0, 3.0)),
+       seed=st.integers(min_value=0, max_value=1 << 30))
+@settings(max_examples=300, deadline=None)
+def test_potency_is_asked_only_about_cells_of_the_grid(pair, t, c_s, seed):
+    # is_potent bounds its neighbors by the band alone.  That is exact only
+    # because every cell the scan and the tester ask about has i + d >= 0,
+    # which at row 0 leaves d >= 0 alone (see the gaped.scan docstring).
+    x, y = pair
+    cells = _potency_cells(lambda: selective_scan(x, y, t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # t above sqrt(n) is allowed here
+        cells += _potency_cells(lambda: run(x, y, TesterConfig(t=t, c_s=c_s, seed=seed)))
+    assert all(i + d >= 0 for i, d in cells), min(cells, key=sum)
 
 
 def test_active_sets_equal_brute_force_potent_sets():
