@@ -17,7 +17,9 @@ Each family targets a regime the testers must handle:
   ones a trace should count.
 - independent_random: unrelated uniform strings, the far-instance source.
 
-The same arguments always reproduce byte-identical strings.  Instances
+The same arguments always reproduce byte-identical strings.  Uniform
+letters are drawn a block at a time through sampled.uniforms, byte for
+byte what random.choices would draw from the same rng.  Instances
 serialize as raw x.bin/y.bin plus a JSON sidecar with the certified
 distance when neither string is longer than ``ORACLE_CEILING``.
 """
@@ -30,7 +32,10 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
+
 from .oracle import banded_edit_distance, edit_distance
+from .sampled import BLOCK, uniforms
 
 log = logging.getLogger(__name__)
 
@@ -45,13 +50,32 @@ def _alphabet(sigma: int) -> bytes:
     return _LETTERS[:sigma]
 
 
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"string length n = {n} must not be negative")
+
+
+def _letters(rng, alpha: bytes, n: int) -> bytes:
+    """bytes(rng.choices(alpha, k=n)), leaving rng in the same state.
+
+    choices floors random() * float(len(alpha)); this truncates the same
+    products over uniforms(), at most BLOCK letters per getrandbits call
+    so that only one block's arrays are alive at a time.
+    """
+    table = np.frombuffer(alpha, np.uint8)
+    size = float(len(alpha))
+    return b"".join(table[(uniforms(rng, min(BLOCK, n - i)) * size).astype(np.intp)].tobytes()
+                    for i in range(0, n, BLOCK))
+
+
 def gen_random_edits(n: int, k: int, seed: int, *, sigma: int = 4) -> tuple[bytes, bytes]:
     """Uniform x and y = x after k random edits; distance at most k."""
+    _check_length(n)
     if not 0 <= k <= n:
         raise ValueError(f"edit budget {k} must lie in [0, n = {n}]")
     rng = random.Random(seed)
     alpha = _alphabet(sigma)
-    x = bytes(rng.choices(alpha, k=n))
+    x = _letters(rng, alpha, n)
     y = bytearray(x)
     for _ in range(k):
         op = rng.randrange(3)
@@ -68,10 +92,11 @@ def gen_random_edits(n: int, k: int, seed: int, *, sigma: int = 4) -> tuple[byte
 
 def gen_block_shift(n: int, t: int, seed: int, *, sigma: int = 4) -> tuple[bytes, bytes]:
     """y rotates each of t blocks of x left by one; distance at most 2t."""
+    _check_length(n)
     if t < 1:
         raise ValueError("block count must be positive")
     rng = random.Random(seed)
-    x = bytes(rng.choices(_alphabet(sigma), k=n))
+    x = _letters(rng, _alphabet(sigma), n)
     block = max(1, math.ceil(n / t))
     parts = []
     for b in range(0, n, block):
@@ -118,6 +143,7 @@ def gen_periodic_splice(
     after the opener), so every counted deviation is visible on the y
     side alone.
     """
+    _check_length(n)
     if g < 2 or g % 2:
         raise ValueError("period must be even and at least 2")
     if num_transitions < 0:
@@ -151,11 +177,10 @@ def gen_periodic_splice(
 
 def gen_independent_random(n: int, seed: int, *, sigma: int = 4) -> tuple[bytes, bytes]:
     """Two independent uniform strings over the alphabet."""
+    _check_length(n)
     rng = random.Random(seed)
     alpha = _alphabet(sigma)
-    x = bytes(rng.choices(alpha, k=n))
-    y = bytes(rng.choices(alpha, k=n))
-    return x, y
+    return _letters(rng, alpha, n), _letters(rng, alpha, n)
 
 
 def certified_delta(x: bytes, y: bytes) -> int | None:

@@ -45,6 +45,19 @@ BLOCK = 4096  # most gaps one block shows ahead
 _NO_GAPS = np.empty(0, dtype=np.int64)
 
 
+def uniforms(rng, k: int) -> np.ndarray:
+    """k uniforms equal bit for bit to k rng.random() calls, from one getrandbits call.
+
+    getrandbits(64 * k) consumes the 2k 32-bit Mersenne Twister words of k
+    random() calls, first word lowest, so each 64-bit little-endian word
+    holds one call's pair w1, w2, and random() is
+    ((w1 >> 5) * 2**26 + (w2 >> 6)) * 2**-53.  rng ends in the same state,
+    and calls made one after another consume the words of one large call.
+    """
+    w = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
+    return (((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38)) * 2.0**-53
+
+
 class GapStream:
     """Geometric gaps at one rate, drawn one at a time or shown in numpy blocks.
 
@@ -62,14 +75,10 @@ class GapStream:
     stream that is only called makes one random() call per gap; peek
     draws ahead, so use it only on an rng that nothing else draws from.
 
-    peek draws its k uniforms at once from rng.getrandbits(64 * k).  Each
-    64-bit little-endian word holds the two 32-bit Mersenne Twister words
-    one random() call consumes, first word low, and random() is
-    ((w1 >> 5) * 2**26 + (w2 >> 6)) * 2**-53, so the uniforms equal k
-    random() calls bit for bit and leave rng in the same state.  np.log
-    may differ from math.log in the last ulp, which moves a truncated
-    quotient only next to an integer, so those within 1e-9 (relative) of
-    one are taken again.
+    peek draws its k uniforms at once through uniforms(rng, k), which
+    equal k random() calls bit for bit.  np.log may differ from math.log
+    in the last ulp, which moves a truncated quotient only next to an
+    integer, so those within 1e-9 (relative) of one are taken again.
     """
 
     def __init__(self, rate: float, rng):
@@ -96,8 +105,7 @@ class GapStream:
             # k draws, not the shortfall: numpy caches small buffers per size.
             fresh = np.ones(k, dtype=np.int64)
             if self._log_q is not None:
-                w = np.frombuffer(self._rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
-                u = (((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38)) * 2.0**-53
+                u = uniforms(self._rng, k)
                 q = np.log(1.0 - u) / self._log_q
                 fresh += q.astype(np.int64)
                 near = np.abs(q - np.rint(q)) <= 1e-9 * np.maximum(q, 1.0)

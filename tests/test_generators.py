@@ -1,12 +1,17 @@
 """Instance families: construction invariants, certification, round trips."""
 
+import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ref_cost_table, ref_edit_distance
 from gaped.generators import (
+    _alphabet,
+    _letters,
     certified_delta,
     gen_block_shift,
     gen_certified_far,
@@ -16,6 +21,7 @@ from gaped.generators import (
     write_instance,
 )
 from gaped.oracle import banded_edit_distance, edit_distance
+from gaped.sampled import BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +41,65 @@ def test_generators_are_deterministic_per_seed():
             assert a == b
         else:
             assert a[0] == b[0] and a[1] == b[1]
+
+
+# sha256 prefixes of x + b"\0" + y for strings drawn letter by letter with
+# random.choices; a change to the draws that moves any byte of any family
+# fails here.
+PINS = [
+    (gen_random_edits, (65536, 32, 1), {}, "28a995cfa6005cc8"),
+    (gen_block_shift, (65536, 64, 2), {}, "af44772c6fbf7f63"),
+    (gen_periodic_splice, (65536, 4, 3, 3), {}, "37c5598b313ebaec"),
+    (gen_independent_random, (65536, 4), {}, "4cebd23c02819b7a"),
+    (gen_random_edits, (4097, 9, 6), {"sigma": 3}, "a111c33826d52b10"),
+    (gen_block_shift, (4095, 8, 8), {"sigma": 13}, "5ad8c77ea5cb60bd"),
+    (gen_periodic_splice, (8192, 6, 2, 5), {"sigma": 5, "y_only": True}, "2de8b3ead3b16bd5"),
+    (gen_independent_random, (8193, 7), {"sigma": 26}, "8bef5981bc6d1673"),
+    (gen_certified_far, (4096, 8, 1), {}, "f72e6111f892d858"),
+]
+
+
+@pytest.mark.parametrize("fn, args, kwargs, pin", PINS,
+                         ids=[f"{fn.__name__}{args}" for fn, args, _, _ in PINS])
+def test_generators_reproduce_pinned_bytes(fn, args, kwargs, pin):
+    x, y = fn(*args, **kwargs)[:2]
+    assert hashlib.sha256(x + b"\0" + y).hexdigest()[:16] == pin
+
+
+FAMILIES = {
+    "random_edits": lambda n: gen_random_edits(n, 0, 0),
+    "block_shift": lambda n: gen_block_shift(n, 2, 0),
+    "periodic_splice": lambda n: gen_periodic_splice(n, 2, 0, 0),
+    "independent_random": lambda n: gen_independent_random(n, 0),
+    "certified_far": lambda n: gen_certified_far(n, 1, 0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_negative_length_is_rejected_and_zero_is_legal(family):
+    make = FAMILIES[family]
+    with pytest.raises(ValueError, match=r"n = -5 must not be negative"):
+        make(-5)
+    if family != "certified_far":  # nothing certifies two empty strings as far
+        assert make(0) == (b"", b"")
+
+
+@given(
+    n=st.one_of(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 3 * BLOCK]),
+                st.integers(0, 3 * BLOCK)),
+    sigma=st.integers(2, 26),
+    seed=st.integers(0, 2**64),
+)
+@example(n=BLOCK - 1, sigma=3, seed=1)
+@example(n=BLOCK, sigma=26, seed=2)
+@example(n=BLOCK + 1, sigma=7, seed=3)
+@settings(max_examples=200, deadline=None)
+def test_letters_are_random_choices_byte_for_byte(n, sigma, seed):
+    # a sigma that is not a power of two makes every bit of each uniform count
+    alpha = _alphabet(sigma)
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert _letters(rng, alpha, n) == bytes(ref.choices(alpha, k=n))
+    assert rng.getstate() == ref.getstate()
 
 
 def test_alphabet_bounds_are_enforced():
