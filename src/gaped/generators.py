@@ -205,7 +205,11 @@ def gen_certified_far(
     next seed, so acceptance corpora never rest on a probabilistic
     assumption about the generator.
     """
+    _check_length(n)
     threshold = int(far_factor * t ** exponent)
+    if threshold >= n:
+        raise ValueError(f"threshold {threshold} is not below n = {n}: no pair of "
+                         "n-long strings is that far apart")
     for attempt in range(_FAR_TRIES):
         x, y = gen_independent_random(n, seed + attempt)
         if banded_edit_distance(x, y, threshold) is None:

@@ -7,11 +7,9 @@ mismatch; everything else can be discarded, because its cost cannot change
 on the next row.  Active diagonals are charged exactly when a potent cell
 faces a mismatch, so the per-diagonal counters trace true grid costs.
 
-Bookkeeping: each diagonal keeps its counter, the row of its latest
-increment and the last row at which it was judged potent.  Every increment
-adds exactly 1, so the value before the latest one is the counter less 1.
-That is enough to answer every query the potency rule makes, since a
-diagonal changes at most once per row and the rule only looks one row back.
+Bookkeeping: CostArray keeps one counter and two row stamps per
+diagonal, enough to answer every query the potency rule makes, since the
+rule only looks one row back.
 Every cell the rule asks about exists: diagonals start at (0, 0) and
 spread to d-1 on the next row and to d+1 on the same row, so each visited
 cell has i + d >= 0, and row 0 visits only d >= 0.
@@ -25,12 +23,16 @@ from .qstring import QueriedString, as_queried, bytes_match
 class CostArray:
     """Per-diagonal cost counters over the band [-t, t].
 
-    a[d] starts at |d| (the cost of ever reaching diagonal d).  The last two
-    rows of values and the two potency flag rows the update rule needs are
-    reconstructed from stamps: `changed_row` holds the row of a diagonal's
-    latest increment, before which it held one less, and `potent_row` holds
-    the last row at which the diagonal was judged potent (potent at row r
-    iff potent_row == r; flags default to not potent).
+    Diagonal d lives at slot k = d + t of three lists.  a[k] starts at |d|
+    (the cost of ever reaching diagonal d).  The last two rows of values
+    and the two potency flag rows the update rule needs are reconstructed
+    from stamps.  `changed_row[k]` holds the row of the latest increment;
+    every increment adds exactly 1 and a diagonal increments at most once
+    per row, so at the start of row r, for the current and the previous
+    row only, the diagonal held a[k] - (changed_row[k] >= r).
+    `potent_row[k]` holds the last row at which the diagonal was judged
+    potent: potent at row r iff potent_row[k] == r, and not potent by
+    default.  is_potent and advance_row read and write the lists directly.
     """
 
     __slots__ = ("t", "a", "changed_row", "potent_row")
@@ -45,15 +47,6 @@ class CostArray:
     def cost(self, d: int) -> int:
         return self.a[d + self.t]
 
-    def cost_at_row(self, d: int, row: int) -> int:
-        """Value a[d] held at the start of `row`.
-
-        Valid for the current and previous row only: a diagonal increments
-        at most once per row, so one level of history suffices.
-        """
-        k = d + self.t
-        return self.a[k] - (self.changed_row[k] >= row)
-
     def charge(self, d: int, row: int) -> None:
         k = d + self.t
         self.changed_row[k] = row
@@ -61,9 +54,6 @@ class CostArray:
 
     def mark_potent(self, d: int, row: int) -> None:
         self.potent_row[d + self.t] = row
-
-    def was_potent(self, d: int, row: int) -> bool:
-        return self.potent_row[d + self.t] == row
 
 
 def is_potent(
@@ -81,16 +71,17 @@ def is_potent(
     the previous row and face a mismatch entering this one.  Undominated
     cells are potent outright.
     """
-    t = costs.t
-    below = costs.cost_at_row(d, i) - 1
-    left = d - 1 >= -t and costs.cost_at_row(d - 1, i) == below
-    upper_right = d + 1 <= t and costs.cost_at_row(d + 1, i - 1) == below
+    t, a, changed = costs.t, costs.a, costs.changed_row
+    k = d + t
+    below = a[k] - (changed[k] >= i) - 1
+    left = d - 1 >= -t and a[k - 1] - (changed[k - 1] >= i) == below
+    upper_right = d + 1 <= t and a[k + 1] - (changed[k + 1] >= i - 1) == below
     if left and (
-        not costs.was_potent(d - 1, i) or bytes_match(x.read(i), y.read(i + d - 1))
+        costs.potent_row[k - 1] != i or bytes_match(x.read(i), y.read(i + d - 1))
     ):
         return False
     if upper_right and (
-        not costs.was_potent(d + 1, i - 1) or bytes_match(x.read(i - 1), y.read(i + d))
+        costs.potent_row[k + 1] != i - 1 or bytes_match(x.read(i - 1), y.read(i + d))
     ):
         return False
     return True
@@ -112,7 +103,7 @@ def advance_row(
     d+1 on this one, carried as the next diagonal to visit.  Returns
     (next_active, charged), both sorted.
     """
-    t = costs.t
+    t, a, changed, potent = costs.t, costs.a, costs.changed_row, costs.potent_row
     nxt: list[int] = []
     charged: list[int] = []
     carry = None
@@ -127,13 +118,16 @@ def advance_row(
             d, carry = carry, None
             if k < size and active[k] == d:
                 k += 1
+        # pruning goes through cost(), which a subclass may override
         if costs.cost(d) > t - abs(d - d_end):
             continue
         if not is_potent(costs, i, d, x, y):
             continue
-        costs.mark_potent(d, i)
+        slot = d + t
+        potent[slot] = i
         if not bytes_match(x.read(i), y.read(i + d)):
-            costs.charge(d, i)
+            changed[slot] = i
+            a[slot] += 1
             charged.append(d)
             if d + 1 <= t:
                 carry = d + 1

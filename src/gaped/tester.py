@@ -166,7 +166,8 @@ def contiguous_round(state: ModeState, x, y) -> None:
     i = state.i
     stats = state.stats
     nxt, charged = advance_row(state.costs, state.diagonals, i, x, y, 0)
-    stats.events.extend((i, d, SUBSTITUTION) for d in charged)
+    for d in charged:
+        stats.events.append((i, d, SUBSTITUTION))
     state.diagonals = nxt
     _update_representative(state, i + 1)
     state.quiet_rows = 0 if charged else state.quiet_rows + 1
@@ -218,26 +219,36 @@ def _check_block(state: ModeState, x, y) -> list[int | None]:
 def sampling_round(state: ModeState, x, y) -> bool:
     """Process one sampled row; True if it failed and changed the state.
 
-    With a captured period (several active diagonals), verify the period
-    pattern at this row (x directly, y along the highest diagonal); with
-    one diagonal, compare the shifted characters; the first row of a block
-    checks the whole block (_check_block).  A pass hops to the next sampled
-    row and returns False: it changes no cost counter and no diagonal.  A
-    failure charges the lone diagonal, or, with a period, pins down the
-    transition row by binary search, charges every diagonal with a direct
-    mismatch in the transition window and probes the uncharged survivors
-    on an independent sample stream.
-    The charged diagonals spread to their neighbours, the tester drops
-    back to contiguous mode on the next row, and the round returns True.
+    The first row of a block checks the whole block (_check_block): with a
+    captured period (several active diagonals), the period pattern (x
+    directly, y along the highest diagonal); with one diagonal, the
+    shifted characters.  The block's rows queue in state.ahead and each
+    call pops one.  A passing row hops to the next sampled row and returns
+    False: it changes no cost counter and no diagonal.  A failed row goes
+    to _fail_row, and the round returns True.
     """
     ahead = state.ahead
     if not ahead:
         ahead = state.ahead = _check_block(state, x, y)
         state.stats.sampled_rows += len(ahead)  # one call pops each entry
     nxt = ahead.pop()
-    if nxt is not None:
-        state.i = nxt
-        return False
+    if nxt is None:
+        _fail_row(state, x, y)
+        return True
+    state.i = nxt
+    return False
+
+
+def _fail_row(state: ModeState, x, y) -> None:
+    """Charge the sampled row state.i that broke the pattern; go contiguous.
+
+    With one diagonal, charge it.  With a captured period, pin down the
+    transition row by binary search, charge every diagonal with a direct
+    mismatch in the transition window and probe the uncharged survivors
+    on an independent sample stream.  The charged diagonals spread to
+    their neighbours, and the tester drops back to contiguous mode on the
+    next row.
+    """
     period = state.period
     rs = state.i
     stats = state.stats
@@ -268,7 +279,6 @@ def sampling_round(state: ModeState, x, y) -> bool:
     state.mode_transitions += 1
     state.quiet_rows = 0
     state.i = rs + 1
-    return True
 
 
 def _move_representative(state: ModeState, new: int, row: int) -> None:
@@ -294,8 +304,9 @@ def _update_representative(state: ModeState, row: int) -> None:
     diags = state.diagonals
     if not diags or state.rep_d in diags:
         return
-    costs = state.costs
-    new = min(diags, key=lambda d: (costs.cost(d), abs(d), d))
+    # (cost, |d|, d) keys without a key function, whose closure would make
+    # `costs` a cell on every call
+    _, _, new = min(zip(map(state.costs.cost, diags), map(abs, diags), diags))
     _move_representative(state, new, row)
 
 

@@ -145,7 +145,7 @@ class _Unpruned(CostArray):
 
     advance_row reads cost() only to skip a diagonal whose counter exceeds
     t - |d - d_end|, which is at least -t inside the band; the potency rule
-    reads the true counters through cost_at_row.
+    reads the true counters from the lists directly.
     """
 
     __slots__ = ()
@@ -191,7 +191,7 @@ def traced_scan(x, y, t):
         for i in range(len(x)):
             active, _ = advance_row(costs, active, i, x, y, d_end)
             take_snapshot()
-            rows.append((i, tuple(d for d in active if costs.was_potent(d, i))))
+            rows.append((i, tuple(d for d in active if costs.potent_row[d + t] == i)))
             if not active:
                 break
     finally:

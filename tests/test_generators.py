@@ -235,9 +235,19 @@ def test_gen_certified_far_meets_its_threshold():
 
 
 def test_gen_certified_far_gives_up_when_impossible():
-    # distance can never exceed n, so certification must keep failing
-    with pytest.raises(RuntimeError, match="in 32 attempts"):
+    # distance can never exceed n, so a threshold at or past n is refused
+    # before any candidate is drawn
+    with pytest.raises(ValueError, match=r"threshold 409600 is not below n = 64"):
         gen_certified_far(64, 64, 0, far_factor=100.0)
+    with pytest.raises(ValueError, match=r"threshold 64 is not below n = 64"):
+        gen_certified_far(64, 8, 0, far_factor=1.0)
+
+
+def test_gen_certified_far_gives_up_after_its_tries():
+    # 63 is below n = 64, but independent random 64-letter pairs are never
+    # at distance 64, so every candidate fails certification
+    with pytest.raises(RuntimeError, match="in 32 attempts"):
+        gen_certified_far(64, 1, 0, far_factor=63.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaped.scan
 import gaped.tester
 from conftest import mutate, periodic_pairs, random_bytes, ref_sampling_round
 from gaped.alignment import SUBSTITUTION, validate_alignment
@@ -260,6 +261,16 @@ def test_one_round_call_per_counted_row(monkeypatch):
         elif ending == "failed":
             assert v.answer is Answer.FAR and last == ["sampling_round", True]
             assert blocks[-1][2]
+
+
+@pytest.mark.parametrize("fn", [
+    gaped.tester.sampling_round, gaped.tester.contiguous_round,
+    gaped.tester._update_representative, gaped.scan.advance_row, gaped.scan.is_potent,
+    QueriedString.read, GapStream.__call__,
+], ids=lambda fn: fn.__qualname__)
+def test_per_row_functions_capture_no_locals(fn):
+    # CPython builds a cell for each captured local on every call, fast path too.
+    assert fn.__code__.co_cellvars == ()
 
 
 def test_a_short_run_peeks_no_more_gaps_than_its_rows(monkeypatch):
