@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import random
 import sys
 from dataclasses import dataclass
 
@@ -53,9 +54,26 @@ def uniforms(rng, k: int) -> np.ndarray:
     holds one call's pair w1, w2, and random() is
     ((w1 >> 5) * 2**26 + (w2 >> 6)) * 2**-53.  rng ends in the same state,
     and calls made one after another consume the words of one large call.
+    A GapStream draws its first BLOCK uniforms here and the rest from
+    numpy_twin(rng), which skips the big integer and its bytes.
     """
     w = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
     return (((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38)) * 2.0**-53
+
+
+def numpy_twin(rng: random.Random) -> np.random.Generator:
+    """A numpy Generator whose random() calls continue rng's bit for bit.
+
+    rng.getstate() holds CPython's 624 Mersenne Twister words and its
+    index into them, which numpy's MT19937 keeps as key and pos, and
+    numpy's next_double is random()'s formula above on the same words.
+    rng itself is left where it was.
+    """
+    words = rng.getstate()[1]
+    bits = np.random.MT19937(0)
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": np.array(words[:-1], dtype=np.uint32), "pos": words[-1]}}
+    return np.random.Generator(bits)
 
 
 class GapStream:
@@ -75,9 +93,14 @@ class GapStream:
     stream that is only called makes one random() call per gap; peek
     draws ahead, so use it only on an rng that nothing else draws from.
 
-    peek draws its k uniforms at once through uniforms(rng, k), which
-    equal k random() calls bit for bit.  np.log may differ from math.log
-    in the last ulp, which moves a truncated quotient only next to an
+    The uniforms come from one of two sources.  peek draws its k at once
+    through uniforms(rng, k), which equal k random() calls bit for bit.
+    Once those draws reach BLOCK, a stream on a plain random.Random
+    builds numpy_twin(rng) and takes every later uniform, peeked or
+    called, from the twin; rng is not advanced from then on.  A twin
+    costs about two 4096-uniform getrandbits draws to build, so the many
+    short streams never build one.  np.log may differ from math.log in
+    the last ulp, which moves a truncated quotient only next to an
     integer, so those within 1e-9 (relative) of one are taken again.
     """
 
@@ -88,7 +111,8 @@ class GapStream:
             raise ValueError(f"sampling rate {rate!r} must be positive with 1 - rate < 1")
         else:
             self._log_q = math.log(1.0 - rate)
-        self._rng = rng
+        self._rng = rng  # replaced by its numpy twin once peeks draw BLOCK uniforms
+        self._until_twin = BLOCK if type(rng) is random.Random else math.inf
         self._gaps = _NO_GAPS
         self._at = 0
 
@@ -105,7 +129,7 @@ class GapStream:
             # k draws, not the shortfall: numpy caches small buffers per size.
             fresh = np.ones(k, dtype=np.int64)
             if self._log_q is not None:
-                u = uniforms(self._rng, k)
+                u = self._uniforms(k)
                 q = np.log(1.0 - u) / self._log_q
                 fresh += q.astype(np.int64)
                 near = np.abs(q - np.rint(q)) <= 1e-9 * np.maximum(q, 1.0)
@@ -113,6 +137,15 @@ class GapStream:
             self._gaps = np.concatenate((self._gaps[self._at:], fresh))
             self._at = 0
         return self._gaps[self._at:self._at + k]
+
+    def _uniforms(self, k: int) -> np.ndarray:
+        if self._until_twin <= 0:
+            return self._rng.random(k)
+        u = uniforms(self._rng, k)
+        self._until_twin -= k
+        if self._until_twin <= 0:
+            self._rng = numpy_twin(self._rng)
+        return u
 
     def skip(self, k: int) -> None:
         self._at += k
@@ -159,13 +192,17 @@ def sampling_rate(n: int, t: int, c_s: float, epsilon: float = 0.0) -> float:
 def sample_rows(n: int, t: int, c_s: float, rng) -> list[int]:
     """Sorted sample: row 0 plus each row in [1..n] kept w.p. c_s*ln(n)/t.
 
-    A fresh GapStream is only called, never peeked, so rng gives one
+    At rate 1 that is every row, and rng is not touched.  Below it, a
+    fresh GapStream is only called, never peeked, so rng gives one
     random() per kept row and one for the draw that passes n; skipping
     geometric gaps keeps the cost proportional to the sample size rather
     than n.
     """
     check_parameters(t, c_s)
-    draw = GapStream(sampling_rate(n, t, c_s), rng)
+    rate = sampling_rate(n, t, c_s)
+    if rate >= 1.0:
+        return list(range(n + 1))
+    draw = GapStream(rate, rng)
     rows, r = [0], draw()
     while r <= n:
         rows.append(r)

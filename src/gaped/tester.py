@@ -83,7 +83,7 @@ class RunStats:
     """Counters and event log accumulated over one run.
 
     sampled_rows counts each sampled row once: a block check adds the
-    rows it queued, and one sampling_round call takes each of them.
+    rows it queued, and one sampling_round call counts each of them down.
     search_rows lists the rows that started a transition search.  The
     mode-switch count is on the Verdict, a Close run's segments in its alignment.
     """
@@ -101,11 +101,12 @@ class ModeState:
     draw_gap gives the gaps to the next sampled rows, draw_probe_gap those
     to the next probed rows; each is the one GapStream of its random
     stream, and a block shows its gaps ahead.  The walk stops at row end.
-    ahead holds the rows to hop to, popped from the end, then None if one
-    fails; each entry is popped by its own sampling_round call, one per
-    sampled row, so stats.sampled_rows grows by len(ahead) once per block.
-    segments are the alignment's closed ones; the open one runs on rep_d
-    from seg_start.
+    queued is the number of sampled rows of the checked block not yet
+    counted down, one per sampling_round call, so stats.sampled_rows grows
+    by it once per block; the block ends on row block_end, which failed
+    its check if block_failed, else is the next row to sample.  i stays on
+    the block's first row until the last call.  segments are the
+    alignment's closed ones; the open one runs on rep_d from seg_start.
     """
 
     sampling: bool
@@ -118,7 +119,9 @@ class ModeState:
     draw_gap: GapStream
     draw_probe_gap: GapStream
     stats: RunStats
-    ahead: list[int | None] = field(default_factory=list)
+    queued: int = 0
+    block_end: int = 0
+    block_failed: bool = False
     rep_d: int = 0
     seg_start: int = 0
     segments: list[tuple[int, int, int]] = field(default_factory=list)
@@ -183,15 +186,18 @@ def contiguous_round(state: ModeState, x, y) -> None:
         state.i = state.i - 1 + state.draw_gap()
 
 
-def _check_block(state: ModeState, x, y) -> list[int | None]:
-    """Check the next block of sampled rows from state.i; return state.ahead.
+def _check_block(state: ModeState, x, y) -> None:
+    """Check the next block of sampled rows from state.i; queue its rows.
 
     The block is state.i and the rows the stream's next gaps reach from
     it (GapStream.rows): as many as can fall before state.end, at most
     sampled.BLOCK.  Up to the first failing row before state.end, x is
     charged at every row and y wherever x kept the period pattern, as the
     row-by-row check reads them; each passing row takes its gap from the
-    stream, and gaps shown past a failing row stay in it.
+    stream, and gaps shown past a failing row stay in it.  The rows up to
+    the failing one, or all of them, are queued: state.block_end is the
+    failing row, or the row the last gap reaches, and stats.sampled_rows
+    counts the queue.
     """
     rows = state.draw_gap.rows(state.i, state.end)
     block = rows[:-1]
@@ -210,10 +216,12 @@ def _check_block(state: ModeState, x, y) -> list[int | None]:
     live = int(np.searchsorted(block, state.end))
     k = int(np.argmax(fails[:live])) if fails[:live].any() else live
     used = min(k + 1, live)
+    failed = k < live
     x.charge(block[:used])
-    y.charge(ys[:used - bool(k < live and x_broke[k])])
+    y.charge(ys[:used - bool(failed and x_broke[k])])
     state.draw_gap.skip(k)
-    return ([None] if k < live else []) + rows[k:0:-1].tolist()
+    state.queued, state.block_end, state.block_failed = used, int(rows[k]), failed
+    state.stats.sampled_rows += used
 
 
 def sampling_round(state: ModeState, x, y) -> bool:
@@ -222,20 +230,21 @@ def sampling_round(state: ModeState, x, y) -> bool:
     The first row of a block checks the whole block (_check_block): with a
     captured period (several active diagonals), the period pattern (x
     directly, y along the highest diagonal); with one diagonal, the
-    shifted characters.  The block's rows queue in state.ahead and each
-    call pops one.  A passing row hops to the next sampled row and returns
-    False: it changes no cost counter and no diagonal.  A failed row goes
-    to _fail_row, and the round returns True.
+    shifted characters.  Each call counts one queued row down; a passing
+    row returns False: it changes no cost counter and no diagonal.  The
+    block's last call moves state.i to state.block_end, the next row to
+    sample or, if block_failed, the row _fail_row then charges, and the
+    round returns True.
     """
-    ahead = state.ahead
-    if not ahead:
-        ahead = state.ahead = _check_block(state, x, y)
-        state.stats.sampled_rows += len(ahead)  # one call pops each entry
-    nxt = ahead.pop()
-    if nxt is None:
+    if not state.queued:
+        _check_block(state, x, y)
+    state.queued -= 1
+    if state.queued:
+        return False
+    state.i = state.block_end
+    if state.block_failed:
         _fail_row(state, x, y)
         return True
-    state.i = nxt
     return False
 
 

@@ -20,9 +20,11 @@ from conftest import (
 from gaped.generators import gen_certified_far, gen_random_edits
 from gaped.qstring import QueriedString
 from gaped.sampled import (
+    BLOCK,
     GapStream,
     SampledGrid,
     geometric_gap,
+    numpy_twin,
     run_sampled_tester,
     sample_rows,
     sampling_rate,
@@ -80,6 +82,17 @@ def _stream_walk(stream, steps):
     return shown, taken
 
 
+def _assert_ref_gap_walk(rate, seed, steps, shown, taken):
+    """shown and taken are what _stream_walk saw on a stream of rate on Random(seed)."""
+    plain = random.Random(seed)
+    expected = [ref_gap(rate, plain) for _ in range(sum(k + singles for k, _, singles in steps))]
+    at = 0
+    for (k, j, singles), ahead in zip(steps, shown):
+        assert ahead == expected[at:at + k]
+        at += j + singles
+    assert taken == expected[:at]
+
+
 @given(rate=st.one_of(st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
                       st.floats(min_value=1.0, max_value=1e6)),
        seed=st.integers(min_value=0, max_value=2**32),
@@ -90,13 +103,49 @@ def _stream_walk(stream, steps):
 def test_gap_stream_equals_ref_gap_draw_for_draw(rate, seed, steps):
     steps = [(k, min(j, k), singles) for k, j, singles in steps]
     shown, taken = _stream_walk(GapStream(rate, random.Random(seed)), steps)
-    plain = random.Random(seed)
-    expected = [ref_gap(rate, plain) for _ in range(sum(k + singles for k, _, singles in steps))]
-    at = 0
-    for (k, j, singles), ahead in zip(steps, shown):
-        assert ahead == expected[at:at + k]
-        at += j + singles
-    assert taken == expected[:at]
+    _assert_ref_gap_walk(rate, seed, steps, shown, taken)
+
+
+@given(rate=st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
+       seed=st.integers(min_value=0, max_value=2**32),
+       steps=st.lists(st.tuples(st.integers(min_value=0, max_value=3000),
+                                st.integers(min_value=0, max_value=3000),
+                                st.integers(min_value=0, max_value=3)), max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_gap_stream_past_a_block_equals_ref_gap_and_leaves_rng_alone(rate, seed, steps):
+    # Two full blocks at the end take the walk well past BLOCK whatever
+    # came first, so the stream builds its numpy twin on the way; from
+    # then on every draw, peeked or called, comes from the twin and the
+    # given rng's state stays where the twin was built.
+    steps = [(k, min(j, k), singles) for k, j, singles in steps]
+    steps += [(BLOCK, BLOCK, 2), (BLOCK, 5, 3)]
+    rng = random.Random(seed)
+    stream = GapStream(rate, rng)
+    shown, taken, frozen = [], [], None
+    for step in steps:
+        seen, took = _stream_walk(stream, [step])
+        shown += seen
+        taken += took
+        if frozen is not None:
+            assert rng.getstate() == frozen
+        elif stream._rng is not rng:
+            frozen = rng.getstate()
+    assert isinstance(stream._rng, np.random.Generator)
+    _assert_ref_gap_walk(rate, seed, steps, shown, taken)
+
+
+@pytest.mark.parametrize("before", [0, 1, 623, 624])
+def test_numpy_twin_continues_random_bit_for_bit(before):
+    # random() takes two of the 624 state words, so 0 and 624 prior calls
+    # leave the index at the end of a block of words, 1 and 623 inside one.
+    rng = random.Random(2024)
+    for _ in range(before):
+        rng.random()
+    state = rng.getstate()
+    twin = numpy_twin(rng)
+    assert rng.getstate() == state
+    got = twin.random(700).tolist() + [twin.random() for _ in range(5)]
+    assert got == [rng.random() for _ in range(705)]
 
 
 @given(rate=st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),

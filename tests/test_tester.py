@@ -232,9 +232,8 @@ def test_one_round_call_per_counted_row(monkeypatch):
     def recorded(state, x, y):
         # the size rule: the least power of two that covers the rows left, at most BLOCK
         size = min(BLOCK, 1 << (state.end - state.i - 1).bit_length())
-        ahead = check_block(state, x, y)
-        blocks.append((size, len(ahead), ahead[0] is None))
-        return ahead
+        check_block(state, x, y)
+        blocks.append((size, state.queued, state.block_failed))
 
     monkeypatch.setattr(gaped.tester, "_check_block", recorded)
     cases = [
