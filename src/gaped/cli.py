@@ -217,8 +217,7 @@ def _bench_task(flag: str, n: int, t: int, trial: int, base_seed: int,
 
 def _p95(values: tuple[int, ...]) -> int:
     ordered = sorted(values)
-    idx = min(len(ordered) - 1, math.ceil(0.95 * len(ordered)) - 1)
-    return ordered[max(0, idx)]
+    return ordered[math.ceil(0.95 * len(ordered)) - 1]
 
 
 def cmd_bench(args, parser: argparse.ArgumentParser) -> int:

@@ -111,7 +111,7 @@ class QueriedString:
         """
         n = self._n
         self.total += n
-        self._seen = bytearray(b"\x01") * n if n else bytearray()
+        self._seen = bytearray(b"\x01") * n
         self.distinct = n
         return self.data
 

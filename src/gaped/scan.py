@@ -144,14 +144,15 @@ def selective_scan(x, y, t: int) -> int | None:
     finishing diagonal are dropped, and the scan exits early once the
     active set empties or the finishing diagonal's counter passes t.
     Dropped diagonals can never participate in a path of cost <= t, so the
-    returned cost is unaffected.
+    returned cost is unaffected.  The band is t, capped at max(|x|, |y|),
+    since no distance lies past the longer length.
     """
     x, y = as_queried(x), as_queried(y)
     nx, ny = len(x), len(y)
     d_end = ny - nx
     if abs(d_end) > t:
         return None
-    costs = CostArray(t)
+    costs = CostArray(min(t, max(nx, ny)))
     active = [0]
     for i in range(nx):
         active, _ = advance_row(costs, active, i, x, y, d_end)

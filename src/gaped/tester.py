@@ -82,10 +82,9 @@ def range_warning(n: int, t: int) -> str | None:
 class RunStats:
     """Counters and event log accumulated over one run.
 
-    sampled_rows counts each sampled row once: a block check adds the
-    rows it queued, and one sampling_round call counts each of them down.
-    search_rows lists the rows that started a transition search.  The
-    mode-switch count is on the Verdict, a Close run's segments in its alignment.
+    sampled_rows counts each sampled row once, a block at a time (see
+    ModeState).  search_rows lists the rows that started a transition
+    search.
     """
 
     contiguous_rows: int = 0
@@ -101,12 +100,18 @@ class ModeState:
     draw_gap gives the gaps to the next sampled rows, draw_probe_gap those
     to the next probed rows; each is the one GapStream of its random
     stream, and a block shows its gaps ahead.  The walk stops at row end.
-    queued is the number of sampled rows of the checked block not yet
-    counted down, one per sampling_round call, so stats.sampled_rows grows
-    by it once per block; the block ends on row block_end, which failed
-    its check if block_failed, else is the next row to sample.  i stays on
-    the block's first row until the last call.  segments are the
-    alignment's closed ones; the open one runs on rep_d from seg_start.
+    segments are the alignment's closed ones; the open one runs on rep_d
+    from seg_start.
+
+    The block protocol: sampling mode checks its rows a block at a time
+    and hands them out one per sampling_round call.  The call that finds
+    queued at 0 checks the next block from row i (_check_block), which
+    moves i at once to the row the block ends on, sets queued to the
+    number of rows checked and adds that number to stats.sampled_rows.
+    The end row failed its check if block_failed, else it is the next row
+    to sample.  Each call counts one queued row down, and the last one
+    hands a failed row to _fail_row; run keeps calling until the queue is
+    empty, even once i is past end.
     """
 
     sampling: bool
@@ -120,7 +125,6 @@ class ModeState:
     draw_probe_gap: GapStream
     stats: RunStats
     queued: int = 0
-    block_end: int = 0
     block_failed: bool = False
     rep_d: int = 0
     seg_start: int = 0
@@ -187,17 +191,18 @@ def contiguous_round(state: ModeState, x, y) -> None:
 
 
 def _check_block(state: ModeState, x, y) -> None:
-    """Check the next block of sampled rows from state.i; queue its rows.
+    """Check the next block of sampled rows from state.i (see ModeState).
 
     The block is state.i and the rows the stream's next gaps reach from
     it (GapStream.rows): as many as can fall before state.end, at most
-    sampled.BLOCK.  Up to the first failing row before state.end, x is
-    charged at every row and y wherever x kept the period pattern, as the
-    row-by-row check reads them; each passing row takes its gap from the
-    stream, and gaps shown past a failing row stay in it.  The rows up to
-    the failing one, or all of them, are queued: state.block_end is the
-    failing row, or the row the last gap reaches, and stats.sampled_rows
-    counts the queue.
+    sampled.BLOCK.  With a captured period (several active diagonals) a
+    row checks the period pattern, x directly and y along the highest
+    diagonal; with one diagonal, the shifted characters.  Up to the first
+    failing row before state.end, x is charged at every row and y
+    wherever x kept the period pattern, as the row-by-row check reads
+    them; each passing row takes its gap from the stream, and gaps shown
+    past a failing row stay in it.  The block ends on the failing row, or
+    on the row the last gap reaches.
     """
     rows = state.draw_gap.rows(state.i, state.end)
     block = rows[:-1]
@@ -220,28 +225,21 @@ def _check_block(state: ModeState, x, y) -> None:
     x.charge(block[:used])
     y.charge(ys[:used - bool(failed and x_broke[k])])
     state.draw_gap.skip(k)
-    state.queued, state.block_end, state.block_failed = used, int(rows[k]), failed
+    state.queued, state.i, state.block_failed = used, int(rows[k]), failed
     state.stats.sampled_rows += used
 
 
 def sampling_round(state: ModeState, x, y) -> bool:
-    """Process one sampled row; True if it failed and changed the state.
+    """Count one sampled row down under ModeState's block protocol.
 
-    The first row of a block checks the whole block (_check_block): with a
-    captured period (several active diagonals), the period pattern (x
-    directly, y along the highest diagonal); with one diagonal, the
-    shifted characters.  Each call counts one queued row down; a passing
-    row returns False: it changes no cost counter and no diagonal.  The
-    block's last call moves state.i to state.block_end, the next row to
-    sample or, if block_failed, the row _fail_row then charges, and the
-    round returns True.
+    True if the row failed and changed the state; a passing row changes
+    no cost counter and no diagonal.
     """
     if not state.queued:
         _check_block(state, x, y)
     state.queued -= 1
     if state.queued:
         return False
-    state.i = state.block_end
     if state.block_failed:
         _fail_row(state, x, y)
         return True
@@ -338,7 +336,7 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
     stats = state.stats
     answer = Answer.CLOSE
     end = state.end
-    while state.i < end:
+    while state.queued or state.i < end:
         if state.sampling:
             if not sampling_round(state, x, y):
                 continue  # a passing row changes no cost and no diagonal

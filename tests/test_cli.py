@@ -94,11 +94,12 @@ def test_run_oracle_report_equals_the_full_dp_answer(pair, tmp_path):
 
 def test_run_oracle_threshold_past_both_lengths(tmp_path):
     # the work is sized by the input, not by -t; at this t the warm-up
-    # tester keeps row 0 alone and prices the path without a read
+    # tester keeps row 0 alone and prices the path without a read, and
+    # the scan runs its counters over the longer length's band
     xp, yp = tmp_path / "x.bin", tmp_path / "y.bin"
     xp.write_bytes(b"abcdefghij")
     yp.write_bytes(b"abcdXfghij")
-    for algo, final_a0, reads in (("oracle", 1, 20), ("sampled", 0, 0)):
+    for algo, final_a0, reads in (("oracle", 1, 20), ("sampled", 0, 0), ("scan", 1, 20)):
         code, out = run_cli(["run", "--algo", algo, "--x", str(xp), "--y", str(yp),
                              "-t", "100000000000"])
         assert code == 0, algo

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import random
 
 import pytest
@@ -241,6 +242,20 @@ def test_gen_certified_far_gives_up_when_impossible():
         gen_certified_far(64, 64, 0, far_factor=100.0)
     with pytest.raises(ValueError, match=r"threshold 64 is not below n = 64"):
         gen_certified_far(64, 8, 0, far_factor=1.0)
+
+
+def test_gen_certified_far_resamples_a_failed_candidate(caplog):
+    # seed 0's pair is at distance 34, within 36, so the next seed is drawn
+    # and certified; both steps are logged
+    with caplog.at_level(logging.INFO, logger="gaped.generators"):
+        x, y, threshold = gen_certified_far(64, 1, 0, far_factor=36.0)
+    assert (x, y) == gen_independent_random(64, 1)
+    assert threshold == 36
+    assert banded_edit_distance(x, y, threshold) is None
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.INFO, "far candidate (seed 0) failed certification; resampling"),
+        (logging.INFO, "far instance certified after 1 resample(s)"),
+    ]
 
 
 def test_gen_certified_far_gives_up_after_its_tries():
