@@ -18,8 +18,8 @@ Each family targets a regime the testers must handle:
 - independent_random: unrelated uniform strings, the far-instance source.
 
 The same arguments always reproduce byte-identical strings.  Uniform
-letters are drawn a block at a time through sampled.uniforms, byte for
-byte what random.choices would draw from the same rng.  Instances
+letters are drawn a block at a time through uniforms, byte for byte
+what random.choices would draw from the same rng.  Instances
 serialize as raw x.bin/y.bin plus a JSON sidecar with the certified
 distance when neither string is longer than ``ORACLE_CEILING``.
 """
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .oracle import banded_edit_distance, edit_distance
-from .sampled import BLOCK, uniforms
+from .sampled import BLOCK
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +53,19 @@ def _alphabet(sigma: int) -> bytes:
 def _check_length(n: int) -> None:
     if n < 0:
         raise ValueError(f"string length n = {n} must not be negative")
+
+
+def uniforms(rng, k: int) -> np.ndarray:
+    """k uniforms equal bit for bit to k rng.random() calls, from one getrandbits call.
+
+    getrandbits(64 * k) consumes the 2k 32-bit Mersenne Twister words of k
+    random() calls, first word lowest, so each 64-bit little-endian word
+    holds one call's pair w1, w2, and random() is
+    ((w1 >> 5) * 2**26 + (w2 >> 6)) * 2**-53.  rng ends in the same state,
+    and calls made one after another consume the words of one large call.
+    """
+    w = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
+    return (((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38)) * 2.0**-53
 
 
 def _letters(rng, alpha: bytes, n: int) -> bytes:
@@ -156,7 +169,8 @@ def gen_periodic_splice(
     alpha = _alphabet(sigma)
     half = g // 2
     starts = [(j + 1) * spacing for j in range(events)]
-    base = bytes(rng.choices(alpha, k=g))
+    # Only n base letters can show (g > n means no transitions); n = 0 tiles one.
+    base = bytes(rng.choices(alpha, k=min(g, max(n, 1))))
     # With y_only only the opener switches both strings; every later start
     # is a g-long excursion of y to a pattern foreign to the last one.
     excursions = starts[1:] if y_only else []

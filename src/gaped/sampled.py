@@ -1,4 +1,4 @@
-"""Row-sampled warm-up tester.
+"""Row-sampled warm-up tester, and the gap streams every sampled row is drawn from.
 
 Samples grid rows at rate ~ c_s * ln(n) / t, keeps the band of 2t+1
 diagonals at each sampled row, and thresholds the source-to-sink shortest
@@ -15,6 +15,7 @@ bound here.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import random
@@ -46,19 +47,14 @@ BLOCK = 4096  # most gaps one block shows ahead
 _NO_GAPS = np.empty(0, dtype=np.int64)
 
 
-def uniforms(rng, k: int) -> np.ndarray:
-    """k uniforms equal bit for bit to k rng.random() calls, from one getrandbits call.
-
-    getrandbits(64 * k) consumes the 2k 32-bit Mersenne Twister words of k
-    random() calls, first word lowest, so each 64-bit little-endian word
-    holds one call's pair w1, w2, and random() is
-    ((w1 >> 5) * 2**26 + (w2 >> 6)) * 2**-53.  rng ends in the same state,
-    and calls made one after another consume the words of one large call.
-    A GapStream draws its first BLOCK uniforms here and the rest from
-    numpy_twin(rng), which skips the big integer and its bytes.
-    """
-    w = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
-    return (((w & 0xFFFFFFFF) >> 5 << 26) | (w >> 38)) * 2.0**-53
+@functools.cache
+def _unseeded():
+    """A seed of zero words, which MT19937 copies without hashing; built at the
+    first twin, so runs that never draw below rate 1 never import numpy.random."""
+    class Unseeded(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+    return Unseeded()
 
 
 def numpy_twin(rng: random.Random) -> np.random.Generator:
@@ -66,13 +62,14 @@ def numpy_twin(rng: random.Random) -> np.random.Generator:
 
     rng.getstate() holds CPython's 624 Mersenne Twister words and its
     index into them, which numpy's MT19937 keeps as key and pos, and
-    numpy's next_double is random()'s formula above on the same words.
-    rng itself is left where it was.
+    numpy's next_double is random()'s ((w1 >> 5) * 2**26 + (w2 >> 6)) *
+    2**-53 on the same words.  The key goes in as getstate()'s list,
+    which the state setter copies faster than an array.  rng itself is
+    left where it was.
     """
     words = rng.getstate()[1]
-    bits = np.random.MT19937(0)
-    bits.state = {"bit_generator": "MT19937",
-                  "state": {"key": np.array(words[:-1], dtype=np.uint32), "pos": words[-1]}}
+    bits = np.random.MT19937(_unseeded())
+    bits.state = {"bit_generator": "MT19937", "state": {"key": list(words[:-1]), "pos": words[-1]}}
     return np.random.Generator(bits)
 
 
@@ -93,15 +90,12 @@ class GapStream:
     stream that is only called makes one random() call per gap; peek
     draws ahead, so use it only on an rng that nothing else draws from.
 
-    The uniforms come from one of two sources.  peek draws its k at once
-    through uniforms(rng, k), which equal k random() calls bit for bit.
-    Once those draws reach BLOCK, a stream on a plain random.Random
-    builds numpy_twin(rng) and takes every later uniform, peeked or
-    called, from the twin; rng is not advanced from then on.  A twin
-    costs about two 4096-uniform getrandbits draws to build, so the many
-    short streams never build one.  np.log may differ from math.log in
-    the last ulp, which moves a truncated quotient only next to an
-    integer, so those within 1e-9 (relative) of one are taken again.
+    A stream on a plain random.Random replaces it by numpy_twin(rng) at
+    its first peek that draws, and takes every later uniform, peeked or
+    called, from the twin; rng is not advanced from then on.  Any other
+    rng must offer numpy's random(size).  np.log may differ from
+    math.log in the last ulp, which moves a truncated quotient only next
+    to an integer, so those within 1e-9 (relative) of one are taken again.
     """
 
     def __init__(self, rate: float, rng):
@@ -111,8 +105,7 @@ class GapStream:
             raise ValueError(f"sampling rate {rate!r} must be positive with 1 - rate < 1")
         else:
             self._log_q = math.log(1.0 - rate)
-        self._rng = rng  # replaced by its numpy twin once peeks draw BLOCK uniforms
-        self._until_twin = BLOCK if type(rng) is random.Random else math.inf
+        self._rng = rng  # replaced by its numpy twin at the first peek that draws
         self._gaps = _NO_GAPS
         self._at = 0
 
@@ -129,7 +122,9 @@ class GapStream:
             # k draws, not the shortfall: numpy caches small buffers per size.
             fresh = np.ones(k, dtype=np.int64)
             if self._log_q is not None:
-                u = self._uniforms(k)
+                if type(self._rng) is random.Random:
+                    self._rng = numpy_twin(self._rng)
+                u = self._rng.random(k)
                 q = np.log(1.0 - u) / self._log_q
                 fresh += q.astype(np.int64)
                 near = np.abs(q - np.rint(q)) <= 1e-9 * np.maximum(q, 1.0)
@@ -137,15 +132,6 @@ class GapStream:
             self._gaps = np.concatenate((self._gaps[self._at:], fresh))
             self._at = 0
         return self._gaps[self._at:self._at + k]
-
-    def _uniforms(self, k: int) -> np.ndarray:
-        if self._until_twin <= 0:
-            return self._rng.random(k)
-        u = uniforms(self._rng, k)
-        self._until_twin -= k
-        if self._until_twin <= 0:
-            self._rng = numpy_twin(self._rng)
-        return u
 
     def skip(self, k: int) -> None:
         self._at += k

@@ -203,10 +203,7 @@ def traced_scan(x, y, t):
 class Boom:
     """An RNG stand-in for code that must not draw: any draw fails the test."""
 
-    def random(self):
-        raise AssertionError("rate 1 must not consume randomness")
-
-    def getrandbits(self, bits):
+    def random(self, size=None):
         raise AssertionError("rate 1 must not consume randomness")
 
 

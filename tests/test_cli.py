@@ -14,7 +14,7 @@ import pytest
 import gaped
 from conftest import ref_cost_table
 from gaped.cli import BENCH_FIELDS, main
-from gaped.generators import gen_independent_random, gen_random_edits
+from gaped.generators import gen_independent_random, gen_periodic_splice, gen_random_edits
 from gaped.qstring import QueriedString
 
 
@@ -25,16 +25,21 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
-def run_module(argv, cwd):
-    """`python -m gaped.cli` in a fresh interpreter, which sees only the
-    directory holding the gaped package this suite imported, installed or
-    not; cwd is neutral since `-m` puts it on sys.path."""
+def run_python(args, cwd):
+    """`python *args` in a fresh interpreter, which sees only the directory
+    holding the gaped package this suite imported, installed or not; cwd
+    is neutral since `-m` and `-c` put it on sys.path."""
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(gaped.__file__)))
     return subprocess.run(
-        [sys.executable, "-m", "gaped.cli", *argv],
+        [sys.executable, *args],
         capture_output=True, text=True, timeout=60, cwd=cwd,
         env={**os.environ, "PYTHONPATH": pkg_root},
     )
+
+
+def run_module(argv, cwd):
+    """`python -m gaped.cli` in a fresh interpreter (run_python)."""
+    return run_python(["-m", "gaped.cli", *argv], cwd)
 
 
 @pytest.fixture()
@@ -325,6 +330,16 @@ def test_gen_records_the_flags_left_out(tmp_path):
         assert json.loads((out_dir / "meta.json").read_text())["params"] == params
 
 
+def test_gen_period_past_n_without_transitions(tmp_path):
+    out_dir = tmp_path / "inst"
+    code, out = run_cli(["gen", "--family", "periodic-splice", "-n", "10", "--out",
+                         str(out_dir), "--period", "1000000000000000000000000000000"])
+    assert code == 0
+    assert json.loads(out)["delta_exact"] == 0
+    x = (out_dir / "x.bin").read_bytes()
+    assert (x, (out_dir / "y.bin").read_bytes()) == gen_periodic_splice(10, 12, 0, 0)
+
+
 def test_gen_unwritable_out_exits_3(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -511,3 +526,26 @@ def test_module_invocation_smoke(pair, tmp_path):
                       tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "close"
+
+
+def test_rate_one_runs_never_import_numpy_random(tmp_path):
+    # Only a gap stream's numpy twin, built at its first draw below rate 1,
+    # imports numpy.random; runs that never draw must not pay for it.
+    script = """
+import importlib, pkgutil, random, sys
+import gaped
+for m in pkgutil.iter_modules(gaped.__path__):
+    importlib.import_module("gaped." + m.name)
+from gaped.generators import gen_random_edits
+from gaped.oracle import edit_distance
+from gaped.sampled import run_sampled_tester
+from gaped.scan import selective_scan
+from gaped.tester import TesterConfig, run
+x, y = gen_random_edits(4096, 3, seed=1)
+assert run(x, y, TesterConfig(t=8)).answer.value == "close"
+assert run_sampled_tester(x, y, 8, 3.0, random.Random(1)).answer.value == "close"
+assert selective_scan(x, y, 8) == edit_distance(x, y) <= 3
+assert "numpy.random" not in sys.modules
+"""
+    proc = run_python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr

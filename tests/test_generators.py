@@ -171,6 +171,13 @@ def test_periodic_splice_no_transitions_is_a_perfect_tiling():
         assert x[4:] == x[:-4]
 
 
+def test_periodic_splice_period_past_n_draws_only_n_letters():
+    # Without transitions only n base letters show, so a period past n
+    # gives the pair any period from n on would give, huge ones included.
+    for n in (0, 1, 10):
+        assert gen_periodic_splice(n, 10**30, 0, 7) == gen_periodic_splice(n, 12, 0, 7)
+
+
 def test_periodic_splice_switch_rows():
     n, g, nt = 1024, 2, 1
     x, y = gen_periodic_splice(n, g, nt, seed=9)

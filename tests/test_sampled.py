@@ -113,24 +113,26 @@ def test_gap_stream_equals_ref_gap_draw_for_draw(rate, seed, steps):
                                 st.integers(min_value=0, max_value=3)), max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_gap_stream_past_a_block_equals_ref_gap_and_leaves_rng_alone(rate, seed, steps):
-    # Two full blocks at the end take the walk well past BLOCK whatever
-    # came first, so the stream builds its numpy twin on the way; from
-    # then on every draw, peeked or called, comes from the twin and the
-    # given rng's state stays where the twin was built.
+    # Each step starts with its peek, so the first step with k > 0 starts
+    # with the first peek that draws: the stream builds its numpy twin
+    # there, and from then on every draw, peeked or called, comes from the
+    # twin and the given rng's state stays where it was before that peek.
+    # Two full blocks at the end take the walk well past BLOCK.
     steps = [(k, min(j, k), singles) for k, j, singles in steps]
     steps += [(BLOCK, BLOCK, 2), (BLOCK, 5, 3)]
     rng = random.Random(seed)
     stream = GapStream(rate, rng)
     shown, taken, frozen = [], [], None
     for step in steps:
+        before = rng.getstate()
         seen, took = _stream_walk(stream, [step])
         shown += seen
         taken += took
+        if frozen is None and step[0]:
+            assert isinstance(stream._rng, np.random.Generator)
+            frozen = before
         if frozen is not None:
             assert rng.getstate() == frozen
-        elif stream._rng is not rng:
-            frozen = rng.getstate()
-    assert isinstance(stream._rng, np.random.Generator)
     _assert_ref_gap_walk(rate, seed, steps, shown, taken)
 
 
@@ -154,38 +156,25 @@ def test_numpy_twin_continues_random_bit_for_bit(before):
                    st.integers(min_value=1, max_value=5000)))
 @settings(max_examples=150, deadline=None)
 def test_gap_stream_block_draw_equals_single_draws(rate, seed, k):
-    # peek(k) decodes k random() values from one getrandbits call; the
-    # gaps must be ref_gap's and the rng must end where its k random()
-    # calls leave it.
+    # peek(k) draws its k uniforms from the rng's numpy twin; the gaps must
+    # be ref_gap's over k random() calls, and the rng must stay where it
+    # was before the peek.
     blocked, single = random.Random(seed), random.Random(seed)
     got = GapStream(rate, blocked).peek(k).tolist()
     assert got == [ref_gap(rate, single) for _ in range(k)]
-    assert blocked.getstate() == single.getstate()
+    assert blocked.getstate() == random.Random(seed).getstate()
 
 
 class _Scripted:
-    """An rng whose draws take the given values, on random()'s 2**-53 grid, in order.
-
-    random() returns the next value; getrandbits(64 * k) encodes the next k
-    values as the two 32-bit words random() consumes for each, first word
-    low: the top 27 bits of the 53-bit mantissa shifted left by 5, then
-    the low 26 bits shifted left by 6.
-    """
+    """An rng whose draws take the given values in order, with numpy's random(size)."""
 
     def __init__(self, values):
         self.values = iter(values)
 
-    def random(self):
-        return next(self.values)
-
-    def getrandbits(self, bits):
-        assert bits % 64 == 0
-        out = 0
-        for i in range(bits // 64):
-            m = int(next(self.values) * 2**53)
-            first, second = (m >> 26) << 5, (m & (2**26 - 1)) << 6
-            out |= (first | second << 32) << 64 * i
-        return out
+    def random(self, size=None):
+        if size is None:
+            return next(self.values)
+        return np.array([next(self.values) for _ in range(size)])
 
 
 def test_gap_stream_takes_near_integer_quotients_again_with_math_log():
@@ -193,7 +182,7 @@ def test_gap_stream_takes_near_integer_quotients_again_with_math_log():
     # k up to rounding, so the numpy block must hand it to math.log.  The
     # fourth value is one where np.log has been seen to truncate
     # differently from math.log inside a block.  The values are rounded to
-    # the 2**-53 grid random() draws on, as the block draw decodes them.
+    # the 2**-53 grid that random() and the numpy twin draw on.
     for rate in (0.05, 0.1, 0.25, 0.5, 0.74, 0.9):
         values = [1.0 - (1.0 - rate) ** k for k in range(1, 400)
                   if (1.0 - rate) ** k > 1e-3]
