@@ -18,6 +18,8 @@ advancing the row (deleting ``x[i]``, cost 1), and moving to diagonal
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .qstring import as_queried
@@ -61,6 +63,7 @@ def banded_edit_distance(x, y, band: int) -> int | None:
     lim(d) go on to ``_gather``.  Both strings are read in full first, so
     the ledger is the same on every path.
     """
+    band = operator.index(band)
     bx, by = as_queried(x).read_all(), as_queried(y).read_all()
     nx, ny = len(bx), len(by)
     d_end = ny - nx

@@ -17,6 +17,8 @@ cell has i + d >= 0, and row 0 visits only d >= 0.
 
 from __future__ import annotations
 
+import operator
+
 from .qstring import QueriedString, as_queried, bytes_match
 
 
@@ -147,6 +149,7 @@ def selective_scan(x, y, t: int) -> int | None:
     returned cost is unaffected.  The band is t, capped at max(|x|, |y|),
     since no distance lies past the longer length.
     """
+    t = operator.index(t)
     x, y = as_queried(x), as_queried(y)
     nx, ny = len(x), len(y)
     d_end = ny - nx

@@ -95,7 +95,7 @@ class RunStats:
 
 @dataclass(slots=True)
 class ModeState:
-    """Mutable state threaded through the per-row rounds.
+    """What the per-row rounds share; run keeps the mode and counts its switches.
 
     draw_gap gives the gaps to the next sampled rows, draw_probe_gap those
     to the next probed rows; each is the one GapStream of its random
@@ -114,7 +114,6 @@ class ModeState:
     empty, even once i is past end.
     """
 
-    sampling: bool
     i: int
     end: int
     diagonals: list[int]
@@ -129,7 +128,6 @@ class ModeState:
     rep_d: int = 0
     seg_start: int = 0
     segments: list[tuple[int, int, int]] = field(default_factory=list)
-    mode_transitions: int = 0
 
 
 def _split_streams(seed) -> tuple[random.Random, random.Random]:
@@ -145,7 +143,6 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
     # The first draw is one-shot, so a harness that rebinds geometric_gap
     # sees one call per run; draw_gap makes every later draw on rng_rows.
     return ModeState(
-        sampling=True,
         i=geometric_gap(rate, rng_rows) - 1,
         end=n,
         diagonals=[0],
@@ -158,17 +155,17 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
     )
 
 
-def contiguous_round(state: ModeState, x, y) -> None:
-    """Process one contiguous row, then switch to sampling if quiet.
+def contiguous_round(state: ModeState, x, y) -> bool:
+    """Process one contiguous row; True if it captured the regime.
 
     The row goes through scan.advance_row with the finishing diagonal 0:
     diagonals whose counter exceeds t - |d| are skipped for good, potent
     ones survive, and each mismatch charges its diagonal and spreads to its
     neighbors.  After 2(max-min)+1 consecutive quiet rows (2 for a lone
-    diagonal) the pattern regime is captured and the tester jumps to the
-    next sampled row.  The extra quiet row beyond 2(max-min) makes the
-    captured window wide enough that a later transition search is valid
-    everywhere it can land.
+    diagonal) the regime is captured, the tester jumps to the next sampled
+    row and the call returns True.  The extra quiet row beyond 2(max-min)
+    makes the captured window wide enough that a later transition search
+    is valid everywhere it can land.
     """
     i = state.i
     stats = state.stats
@@ -181,13 +178,13 @@ def contiguous_round(state: ModeState, x, y) -> None:
     state.i = i + 1
     stats.contiguous_rows += 1
     if not nxt:
-        return
+        return False
     need = max(2, 2 * (nxt[-1] - nxt[0]) + 1)
-    if state.quiet_rows >= need:
-        state.period = PeriodState.capture(x, nxt, state.i - need) if len(nxt) >= 2 else None
-        state.sampling = True
-        state.mode_transitions += 1
-        state.i = state.i - 1 + state.draw_gap()
+    if state.quiet_rows < need:
+        return False
+    state.period = PeriodState.capture(x, nxt, state.i - need) if len(nxt) >= 2 else None
+    state.i = state.i - 1 + state.draw_gap()
+    return True
 
 
 def _check_block(state: ModeState, x, y) -> None:
@@ -247,14 +244,14 @@ def sampling_round(state: ModeState, x, y) -> bool:
 
 
 def _fail_row(state: ModeState, x, y) -> None:
-    """Charge the sampled row state.i that broke the pattern; go contiguous.
+    """Charge the sampled row state.i that broke the pattern.
 
     With one diagonal, charge it.  With a captured period, pin down the
     transition row by binary search, charge every diagonal with a direct
     mismatch in the transition window and probe the uncharged survivors
     on an independent sample stream.  The charged diagonals spread to
-    their neighbours, and the tester drops back to contiguous mode on the
-    next row.
+    their neighbours; contiguous rows go on from the next row, and period
+    stays as it is until the next capture, since only sampling reads it.
     """
     period = state.period
     rs = state.i
@@ -281,9 +278,6 @@ def _fail_row(state: ModeState, x, y) -> None:
         live.update(dd for dd in (d - 1, d + 1) if -t <= dd <= t)
     # The active set only grows here, so the representative stays in it.
     state.diagonals = sorted(live)
-    state.period = None
-    state.sampling = False
-    state.mode_transitions += 1
     state.quiet_rows = 0
     state.i = rs + 1
 
@@ -336,12 +330,14 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
     stats = state.stats
     answer = Answer.CLOSE
     end = state.end
+    sampling, transitions = True, 0
     while state.queued or state.i < end:
-        if state.sampling:
+        if sampling:
             if not sampling_round(state, x, y):
                 continue  # a passing row changes no cost and no diagonal
-        else:
-            contiguous_round(state, x, y)
+            sampling, transitions = False, transitions + 1
+        elif contiguous_round(state, x, y):
+            sampling, transitions = True, transitions + 1
         if state.costs.cost(0) > t or not state.diagonals:
             answer = Answer.FAR
             break
@@ -356,7 +352,7 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
         answer=answer,
         final_a0=min(state.costs.cost(0), t + 1),
         ledger=ledger_snapshot(x, y),
-        mode_transitions=state.mode_transitions,
+        mode_transitions=transitions,
         alignment=alignment,
         stats=stats,
     )

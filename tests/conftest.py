@@ -345,9 +345,6 @@ def ref_sampling_round(state, x, y) -> bool:
         stats.events.append((rs, d, SUBSTITUTION))
         live.update(dd for dd in (d - 1, d + 1) if -t <= dd <= t)
     state.diagonals = sorted(live)
-    state.period = None
-    state.sampling = False
-    state.mode_transitions += 1
     state.quiet_rows = 0
     state.i = rs + 1
     return True

@@ -100,6 +100,20 @@ def test_entry_points_share_one_input_rule(name):
     assert all(r == results[0] for r in results), name
 
 
+@pytest.mark.parametrize("fn", [selective_scan, banded_edit_distance],
+                         ids=lambda fn: fn.__name__)
+def test_thresholds_must_be_integers(fn):
+    # A non-integer threshold fails at the boundary, before either string
+    # is read; a numpy integer is taken as the int it holds.
+    for bad in (2.5, 4.0, "3", None, float("nan"), float("inf"), np.float64(3)):
+        qx, qy = QueriedString(b"abcdef"), QueriedString(b"abcdxf")
+        with pytest.raises(TypeError):
+            fn(qx, qy, bad)
+        assert (qx.total, qy.total) == (0, 0), bad
+    result = fn(b"abcdef", b"abcdxf", np.int64(3))
+    assert result == 1 and type(result) is int
+
+
 def test_bytes_match_truth_table():
     assert bytes_match(65, 65)
     assert not bytes_match(65, 66)

@@ -172,32 +172,33 @@ def _ledger_row(x, y, **kw):
         hashlib.sha256(v.alignment.encode()).hexdigest()[:16])
     return (v.answer.value, v.final_a0, v.ledger.distinct_x, v.ledger.distinct_y,
             v.ledger.total_accesses, s.sampled_rows, s.contiguous_rows, len(s.events),
-            cert)
+            v.mode_transitions, cert)
 
 
 def test_run_ledgers_are_pinned():
     # (answer, final_a0, distinct_x, distinct_y, total_accesses,
-    #  sampled_rows, contiguous_rows, len(events), certificate sha256 prefix)
+    #  sampled_rows, contiguous_rows, len(events), mode_transitions,
+    #  certificate sha256 prefix)
     # per run; the certificate pins where each segment starts and ends
     x, y = gen_periodic_splice(4096, 2, 5, seed=1, sigma=8)
     assert _ledger_row(x, y, t=16, seed=3) == (
-        "close", 9, 4096, 4096, 9954, 3980, 116, 99, "d7c04c486ae9c935")
+        "close", 9, 4096, 4096, 9954, 3980, 116, 99, 12, "d7c04c486ae9c935")
     x, y = gen_random_edits(4096, 3, seed=11)  # rate 1 at t=8
     assert _ledger_row(x, y, t=8, seed=2) == (
-        "close", 4, 4096, 4097, 8292, 4077, 20, 28, "bb75be304bd0bc95")
+        "close", 4, 4096, 4097, 8292, 4077, 20, 28, 7, "bb75be304bd0bc95")
     x, y = gen_random_edits(1 << 14, 32, seed=5)
     assert _ledger_row(x, y, t=64, epsilon=0.5, c_s=0.5, seed=7) == (
-        "close", 30, 10238, 10317, 27268, 9388, 852, 1472,
+        "close", 30, 10238, 10317, 27268, 9388, 852, 1472, 51,
         "75be68f3b7e50678")
     rng = random.Random(21)
     x = random_bytes(rng, 4096)
     y = x[:1000] + x[1003:2500] + b"c" + x[2500:]
     assert _ledger_row(x, y, t=8, seed=4) == (
-        "close", 6, 4096, 4094, 8304, 4083, 13, 36, "0662abf3995b3bd5")
+        "close", 6, 4096, 4094, 8304, 4083, 13, 36, 4, "0662abf3995b3bd5")
     assert _ledger_row(y, x, t=8, seed=4) == (
-        "close", 6, 4094, 4096, 8310, 4081, 15, 40, "324cd96d8cd56e41")
+        "close", 6, 4094, 4096, 8310, 4081, 15, 40, 5, "324cd96d8cd56e41")
     x, y = gen_independent_random(4096, seed=3, sigma=8)
-    assert _ledger_row(x, y, t=4, seed=1) == ("far", 5, 6, 6, 46, 1, 5, 13, None)
+    assert _ledger_row(x, y, t=4, seed=1) == ("far", 5, 6, 6, 46, 1, 5, 13, 1, None)
     # the selective scan: (result, distinct_x, distinct_y, total_accesses)
     for (n, k, t, gseed), pinned in {
         (2000, 5, 16, 8): (5, 2000, 1998, 4314),
@@ -216,14 +217,18 @@ def test_one_round_call_per_counted_row(monkeypatch):
     # counted once per checked block, so the last two cases (found by
     # fuzzing) end a run inside a block: a Close walk whose last block is
     # cut at ModeState.end, and a Far stop right after a failed sampled row.
+    # Each round returns True exactly when it hands over to the other mode,
+    # so the True returns are the run's mode transitions.
     calls = {"sampling_round": 0, "contiguous_round": 0}
-    last, blocks = [], []
+    last, blocks, handovers = [], [], []
     for name in calls:
         inner = getattr(gaped.tester, name)
 
         def counted(*args, _name=name, _inner=inner):
             calls[_name] += 1
             last[:] = [_name, _inner(*args)]
+            if last[1] is True:
+                handovers.append(_name)
             return last[1]
 
         monkeypatch.setattr(gaped.tester, name, counted)
@@ -248,11 +253,13 @@ def test_one_round_call_per_counted_row(monkeypatch):
         for name in calls:
             calls[name] = 0
         blocks.clear()
+        handovers.clear()
         v = _run(x, y, **kw)
         s = v.stats
         assert s.sampled_rows > 0, kw
         assert calls == {"sampling_round": s.sampled_rows,
                          "contiguous_round": s.contiguous_rows}, kw
+        assert len(handovers) == v.mode_transitions, kw
         if ending == "cut":
             size, queued, failed = blocks[-1]
             assert v.answer is Answer.CLOSE and last == ["sampling_round", False]
