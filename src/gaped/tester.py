@@ -25,6 +25,7 @@ mismatch everything, and a length difference beyond t is immediately far.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -52,7 +53,8 @@ class TesterConfig:
     """Run parameters.
 
     t is the gap parameter; epsilon trades queries for gap via the
-    sampling rate min(1, c_s*ln(n)/t^(1-epsilon)).
+    sampling rate min(1, c_s*ln(n)/t^(1-epsilon)).  seed is an int, since
+    random.Random would seed None from the OS and hash a float or a str.
     """
 
     t: int
@@ -62,6 +64,7 @@ class TesterConfig:
 
     def __post_init__(self):
         check_parameters(self.t, self.c_s)
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
 
@@ -82,9 +85,9 @@ def range_warning(n: int, t: int) -> str | None:
 class RunStats:
     """Counters and event log accumulated over one run.
 
-    sampled_rows counts each sampled row once, a block at a time (see
-    ModeState).  search_rows lists the rows that started a transition
-    search.
+    sampled_rows counts each sampled row once, a block at a time, when
+    _check_block checks it (see ModeState).  search_rows lists the rows
+    that started a transition search.
     """
 
     contiguous_rows: int = 0
@@ -95,7 +98,7 @@ class RunStats:
 
 @dataclass(slots=True)
 class ModeState:
-    """What the per-row rounds share; run keeps the mode and counts its switches.
+    """What the per-row rounds share; run keeps the mode, its switches and the queue.
 
     draw_gap gives the gaps to the next sampled rows, draw_probe_gap those
     to the next probed rows; each is the one GapStream of its random
@@ -104,14 +107,14 @@ class ModeState:
     from seg_start.
 
     The block protocol: sampling mode checks its rows a block at a time
-    and hands them out one per sampling_round call.  The call that finds
-    queued at 0 checks the next block from row i (_check_block), which
-    moves i at once to the row the block ends on, sets queued to the
-    number of rows checked and adds that number to stats.sampled_rows.
-    The end row failed its check if block_failed, else it is the next row
-    to sample.  Each call counts one queued row down, and the last one
-    hands a failed row to _fail_row; run keeps calling until the queue is
-    empty, even once i is past end.
+    and hands them out one per sampling_round call.  run passes the count
+    of rows still queued, 0 to start a block; the call that gets 0 checks
+    the next block from row i (_check_block), which moves i at once to the
+    row the block ends on, adds the rows it checked to stats.sampled_rows
+    and returns their count.  The end row failed its check if
+    block_failed, else it is the next row to sample.  Each call returns
+    the count less one, and the block's last call hands a failed row to
+    _fail_row and returns -1.
     """
 
     i: int
@@ -123,7 +126,6 @@ class ModeState:
     draw_gap: GapStream
     draw_probe_gap: GapStream
     stats: RunStats
-    queued: int = 0
     block_failed: bool = False
     rep_d: int = 0
     seg_start: int = 0
@@ -187,8 +189,8 @@ def contiguous_round(state: ModeState, x, y) -> bool:
     return True
 
 
-def _check_block(state: ModeState, x, y) -> None:
-    """Check the next block of sampled rows from state.i (see ModeState).
+def _check_block(state: ModeState, x, y) -> int:
+    """Check the next block of sampled rows from state.i; the rows checked.
 
     The block is state.i and the rows the stream's next gaps reach from
     it (GapStream.rows): as many as can fall before state.end, at most
@@ -199,7 +201,7 @@ def _check_block(state: ModeState, x, y) -> None:
     wherever x kept the period pattern, as the row-by-row check reads
     them; each passing row takes its gap from the stream, and gaps shown
     past a failing row stay in it.  The block ends on the failing row, or
-    on the row the last gap reaches.
+    on the row the last gap reaches (see ModeState).
     """
     rows = state.draw_gap.rows(state.i, state.end)
     block = rows[:-1]
@@ -222,25 +224,29 @@ def _check_block(state: ModeState, x, y) -> None:
     x.charge(block[:used])
     y.charge(ys[:used - bool(failed and x_broke[k])])
     state.draw_gap.skip(k)
-    state.queued, state.i, state.block_failed = used, int(rows[k]), failed
+    state.i, state.block_failed = int(rows[k]), failed
     state.stats.sampled_rows += used
+    return used
 
 
-def sampling_round(state: ModeState, x, y) -> bool:
-    """Count one sampled row down under ModeState's block protocol.
+def sampling_round(state: ModeState, x, y, queued: int) -> int:
+    """Hand out one sampled row under ModeState's block protocol.
 
-    True if the row failed and changed the state; a passing row changes
-    no cost counter and no diagonal.
+    queued is the count of the checked block's rows still to hand out, 0
+    to check the next block.  Returns the rows left after this one, or -1
+    if the row failed and changed the state; a passing row changes no
+    cost counter and no diagonal.
     """
-    if not state.queued:
-        _check_block(state, x, y)
-    state.queued -= 1
-    if state.queued:
-        return False
+    if queued > 1:
+        return queued - 1
+    if not queued:
+        queued = _check_block(state, x, y)
+        if queued > 1:
+            return queued - 1
     if state.block_failed:
         _fail_row(state, x, y)
-        return True
-    return False
+        return -1
+    return 0
 
 
 def _fail_row(state: ModeState, x, y) -> None:
@@ -331,9 +337,12 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
     answer = Answer.CLOSE
     end = state.end
     sampling, transitions = True, 0
-    while state.queued or state.i < end:
+    while state.i < end:
         if sampling:
-            if not sampling_round(state, x, y):
+            queued = sampling_round(state, x, y, 0)
+            while queued > 0:  # the rest of the checked block, one call per row
+                queued = sampling_round(state, x, y, queued)
+            if not queued:
                 continue  # a passing row changes no cost and no diagonal
             sampling, transitions = False, transitions + 1
         elif contiguous_round(state, x, y):

@@ -304,13 +304,14 @@ def ref_probe_diagonal(x, y, d: int, lo: int, hi: int, draw_gap) -> bool:
     return False
 
 
-def ref_sampling_round(state, x, y) -> bool:
+def ref_sampling_round(state, x, y, queued) -> int:
     """gaped.tester.sampling_round checking one row per call.
 
-    Each row reads x, then y unless x already broke the period pattern,
-    and each passing row draws its gap from state.draw_gap on the spot.
-    The transition window and the probes walk their rows one at a time
-    too (ref_probe_diagonal).
+    queued is ignored: nothing is ever queued, so the call returns 0 for
+    a passing row and -1 for a failed one.  Each row reads x, then y
+    unless x already broke the period pattern, and each passing row draws
+    its gap from state.draw_gap on the spot.  The transition window and
+    the probes walk their rows one at a time too (ref_probe_diagonal).
     """
     period = state.period
     rs = state.i
@@ -322,7 +323,7 @@ def ref_sampling_round(state, x, y) -> bool:
         passed = not row_deviates(x, y, period, rs)
     if passed:
         state.i = rs + state.draw_gap()
-        return False
+        return 0
     costs = state.costs
     t = costs.t
     diags = state.diagonals
@@ -347,7 +348,7 @@ def ref_sampling_round(state, x, y) -> bool:
     state.diagonals = sorted(live)
     state.quiet_rows = 0
     state.i = rs + 1
-    return True
+    return -1
 
 
 def ref_shortest_path_cost(grid, x, y) -> int:

@@ -55,6 +55,16 @@ def test_config_validation():
     with pytest.raises(ValueError, match="t must be"):
         TesterConfig(t=10 ** 400)
     assert TesterConfig(t=np.int64(4)).t == 4
+    # random.Random would seed None from the OS and hash a float or a str
+    for seed in (None, 1.5, "3"):
+        with pytest.raises(TypeError):
+            TesterConfig(t=4, seed=seed)
+    cfg = TesterConfig(t=16, c_s=0.3, seed=np.int64(3))
+    assert cfg.seed == 3 and type(cfg.seed) is int
+    x, y = gen_random_edits(20000, 3, seed=1)
+    got, want = (run(QueriedString(x), QueriedString(y), c)
+                 for c in (cfg, TesterConfig(t=16, c_s=0.3, seed=3)))
+    assert (got.answer, got.ledger) == (want.answer, want.ledger)
 
 
 def test_small_threshold_relative_to_n_warns():
@@ -217,19 +227,27 @@ def test_one_round_call_per_counted_row(monkeypatch):
     # counted once per checked block, so the last two cases (found by
     # fuzzing) end a run inside a block: a Close walk whose last block is
     # cut at ModeState.end, and a Far stop right after a failed sampled row.
-    # Each round returns True exactly when it hands over to the other mode,
-    # so the True returns are the run's mode transitions.
+    # A round hands over to the other mode exactly when sampling_round
+    # returns -1 or contiguous_round returns True, so those returns are the
+    # run's mode transitions.  Within a block, sampling_round hands out
+    # each checked row once: its returns strictly decrease to 0 or -1, one
+    # call for each row _check_block counted.
     calls = {"sampling_round": 0, "contiguous_round": 0}
-    last, blocks, handovers = [], [], []
+    last, blocks, handouts, handovers = [], [], [], []
     for name in calls:
         inner = getattr(gaped.tester, name)
 
         def counted(*args, _name=name, _inner=inner):
             calls[_name] += 1
-            last[:] = [_name, _inner(*args)]
-            if last[1] is True:
+            got = _inner(*args)
+            last[:] = [_name, got]
+            if _name == "sampling_round":
+                handouts[-1].append(got)
+                if got == -1:
+                    handovers.append(_name)
+            elif got is True:
                 handovers.append(_name)
-            return last[1]
+            return got
 
         monkeypatch.setattr(gaped.tester, name, counted)
     check_block = gaped.tester._check_block
@@ -237,8 +255,10 @@ def test_one_round_call_per_counted_row(monkeypatch):
     def recorded(state, x, y):
         # the size rule: the least power of two that covers the rows left, at most BLOCK
         size = min(BLOCK, 1 << (state.end - state.i - 1).bit_length())
-        check_block(state, x, y)
-        blocks.append((size, state.queued, state.block_failed))
+        used = check_block(state, x, y)
+        blocks.append((size, used, state.block_failed))
+        handouts.append([])
+        return used
 
     monkeypatch.setattr(gaped.tester, "_check_block", recorded)
     cases = [
@@ -253,19 +273,24 @@ def test_one_round_call_per_counted_row(monkeypatch):
         for name in calls:
             calls[name] = 0
         blocks.clear()
+        handouts.clear()
         handovers.clear()
         v = _run(x, y, **kw)
         s = v.stats
         assert s.sampled_rows > 0, kw
+        for (_, used, failed), got in zip(blocks, handouts, strict=True):
+            assert len(got) == used, kw
+            assert all(a > b for a, b in zip(got, got[1:])), kw
+            assert got[-1] == (-1 if failed else 0), kw
         assert calls == {"sampling_round": s.sampled_rows,
                          "contiguous_round": s.contiguous_rows}, kw
         assert len(handovers) == v.mode_transitions, kw
         if ending == "cut":
-            size, queued, failed = blocks[-1]
-            assert v.answer is Answer.CLOSE and last == ["sampling_round", False]
-            assert v.mode_transitions >= 2 and not failed and queued < size
+            size, used, failed = blocks[-1]
+            assert v.answer is Answer.CLOSE and last == ["sampling_round", 0]
+            assert v.mode_transitions >= 2 and not failed and used < size
         elif ending == "failed":
-            assert v.answer is Answer.FAR and last == ["sampling_round", True]
+            assert v.answer is Answer.FAR and last == ["sampling_round", -1]
             assert blocks[-1][2]
 
 
@@ -282,8 +307,9 @@ def test_per_row_functions_capture_no_locals(fn):
 def test_sampling_round_keeps_its_frame_to_its_arguments():
     # It is called once per sampled row, and each frame slot costs on every
     # call: a 16-local frame measured ~10 ns a call above a 3-local one, so
-    # the block check stays in _check_block.
-    assert gaped.tester.sampling_round.__code__.co_nlocals == 3
+    # the block check stays in _check_block and the frame holds only the
+    # four arguments.
+    assert gaped.tester.sampling_round.__code__.co_nlocals == 4
 
 
 def test_a_short_run_peeks_no_more_gaps_than_its_rows(monkeypatch):
