@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import random
 import sys
 from dataclasses import dataclass
@@ -258,6 +259,7 @@ def run_sampled_tester(x, y, t: int, c_s: float, rng) -> Verdict:
     t^2 (the sampled rows then catch enough forced mismatches).
     """
     check_parameters(t, c_s)
+    t = operator.index(t)
     x, y = as_queried(x), as_queried(y)
     if abs(len(y) - len(x)) > t:
         return Verdict(Answer.FAR, t + 1, ledger_snapshot(x, y), 0)

@@ -53,7 +53,8 @@ class TesterConfig:
     """Run parameters.
 
     t is the gap parameter; epsilon trades queries for gap via the
-    sampling rate min(1, c_s*ln(n)/t^(1-epsilon)).  seed is an int, since
+    sampling rate min(1, c_s*ln(n)/t^(1-epsilon)).  t and seed are stored
+    as ints: a numpy t would make every counter a numpy scalar, and
     random.Random would seed None from the OS and hash a float or a str.
     """
 
@@ -64,6 +65,7 @@ class TesterConfig:
 
     def __post_init__(self):
         check_parameters(self.t, self.c_s)
+        object.__setattr__(self, "t", operator.index(self.t))
         object.__setattr__(self, "seed", operator.index(self.seed))
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
@@ -107,14 +109,11 @@ class ModeState:
     from seg_start.
 
     The block protocol: sampling mode checks its rows a block at a time
-    and hands them out one per sampling_round call.  run passes the count
-    of rows still queued, 0 to start a block; the call that gets 0 checks
-    the next block from row i (_check_block), which moves i at once to the
-    row the block ends on, adds the rows it checked to stats.sampled_rows
-    and returns their count.  The end row failed its check if
-    block_failed, else it is the next row to sample.  Each call returns
-    the count less one, and the block's last call hands a failed row to
-    _fail_row and returns -1.
+    (_check_block moves i at once to the block's end row) and hands them
+    out one per sampling_round call.  run passes the rows still queued, 0
+    to check the next block, and each call returns the rows left.  After
+    the block, run hands an end row that failed (block_failed) to
+    _fail_row; else that row is the next to sample.
     """
 
     i: int
@@ -233,20 +232,12 @@ def sampling_round(state: ModeState, x, y, queued: int) -> int:
     """Hand out one sampled row under ModeState's block protocol.
 
     queued is the count of the checked block's rows still to hand out, 0
-    to check the next block.  Returns the rows left after this one, or -1
-    if the row failed and changed the state; a passing row changes no
-    cost counter and no diagonal.
+    to check the next block; returns the rows left after this one.  It
+    changes no cost counter and no diagonal.
     """
-    if queued > 1:
+    if queued > 0:
         return queued - 1
-    if not queued:
-        queued = _check_block(state, x, y)
-        if queued > 1:
-            return queued - 1
-    if state.block_failed:
-        _fail_row(state, x, y)
-        return -1
-    return 0
+    return _check_block(state, x, y) - 1
 
 
 def _fail_row(state: ModeState, x, y) -> None:
@@ -342,8 +333,9 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
             queued = sampling_round(state, x, y, 0)
             while queued > 0:  # the rest of the checked block, one call per row
                 queued = sampling_round(state, x, y, queued)
-            if not queued:
-                continue  # a passing row changes no cost and no diagonal
+            if not state.block_failed:
+                continue  # a passing block changes no cost and no diagonal
+            _fail_row(state, x, y)
             sampling, transitions = False, transitions + 1
         elif contiguous_round(state, x, y):
             sampling, transitions = True, transitions + 1

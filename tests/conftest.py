@@ -8,8 +8,10 @@ too long for the plain loop, and ref_optimal_alignment is its traceback
 with a fixed tie-break.  ref_banded_costs and ref_potent_sets are the
 pure-Python references for the banded grid the selective scan walks.
 ref_sampling_round is the main tester's row-by-row sampled-row check,
-the reference for its block check, ref_probe_diagonal is the row-by-row
-probe walk, the reference for the block probe, and ref_shortest_path_cost
+the reference for its block check, and ref_fail_row its failed-row
+charge with the transition window and the probes walked row by row;
+ref_probe_diagonal is that row-by-row probe walk, the reference for the
+block probe, and ref_shortest_path_cost
 is the warm-up tester's band scan over the sampled rows, the reference
 for its diagonal transition.  ref_gap is the geometric gap draw written
 out, the reference for every gap the sampler gives.
@@ -307,23 +309,31 @@ def ref_probe_diagonal(x, y, d: int, lo: int, hi: int, draw_gap) -> bool:
 def ref_sampling_round(state, x, y, queued) -> int:
     """gaped.tester.sampling_round checking one row per call.
 
-    queued is ignored: nothing is ever queued, so the call returns 0 for
-    a passing row and -1 for a failed one.  Each row reads x, then y
-    unless x already broke the period pattern, and each passing row draws
-    its gap from state.draw_gap on the spot.  The transition window and
-    the probes walk their rows one at a time too (ref_probe_diagonal).
+    queued is ignored: each call checks one row and returns 0, the rows
+    left, setting state.block_failed if the row failed.  Each row reads x,
+    then y unless x already broke the period pattern, and each passing row
+    draws its gap from state.draw_gap on the spot; a failed row stays at
+    state.i for run to hand to _fail_row (ref_fail_row).
     """
     period = state.period
     rs = state.i
-    stats = state.stats
-    stats.sampled_rows += 1
+    state.stats.sampled_rows += 1
     if period is None:
         passed = bytes_match(x.read(rs), y.read(rs + state.diagonals[0]))
     else:
         passed = not row_deviates(x, y, period, rs)
+    state.block_failed = not passed
     if passed:
         state.i = rs + state.draw_gap()
-        return 0
+    return 0
+
+
+def ref_fail_row(state, x, y) -> None:
+    """gaped.tester._fail_row with the transition window and the probes
+    walking their rows one at a time (ref_probe_diagonal)."""
+    rs = state.i
+    period = state.period
+    stats = state.stats
     costs = state.costs
     t = costs.t
     diags = state.diagonals
@@ -348,7 +358,6 @@ def ref_sampling_round(state, x, y, queued) -> int:
     state.diagonals = sorted(live)
     state.quiet_rows = 0
     state.i = rs + 1
-    return -1
 
 
 def ref_shortest_path_cost(grid, x, y) -> int:

@@ -17,7 +17,7 @@ from conftest import (
     ref_gap,
     ref_shortest_path_cost,
 )
-from gaped.generators import gen_certified_far, gen_random_edits
+from gaped.generators import gen_certified_far, gen_independent_random, gen_random_edits
 from gaped.qstring import QueriedString
 from gaped.sampled import (
     BLOCK,
@@ -431,6 +431,12 @@ def test_bad_parameters_raise_whatever_the_lengths():
                                random.Random(0))
     assert run_sampled_tester(b"abcd", b"abcd", np.int64(4), 3.0,
                               random.Random(0)).is_close
+    # a numpy t must not reach the costs: final_a0 stays an int
+    x, y = gen_independent_random(2000, seed=1)
+    got, want = (run_sampled_tester(QueriedString(x), QueriedString(y), t, 3.0,
+                                    random.Random(1)) for t in (np.int64(8), 8))
+    assert not got.is_close and type(got.final_a0) is int
+    assert got.final_a0 == want.final_a0 == 9 and got.ledger == want.ledger
 
 
 def test_low_rate_reads_sublinearly_many_x_positions():

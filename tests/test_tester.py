@@ -1,6 +1,7 @@
 """Adaptive tester: verdicts, mode switching, charge accounting, alignments."""
 
 import hashlib
+import json
 import random
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import gaped.scan
 import gaped.tester
-from conftest import mutate, periodic_pairs, random_bytes, ref_sampling_round
+from conftest import mutate, periodic_pairs, random_bytes, ref_fail_row, ref_sampling_round
 from gaped.alignment import SUBSTITUTION, validate_alignment
 from gaped.generators import gen_independent_random, gen_periodic_splice, gen_random_edits
 from gaped.oracle import edit_distance
@@ -54,7 +55,10 @@ def test_config_validation():
     # past the float range, t ** (1 - epsilon) would overflow
     with pytest.raises(ValueError, match="t must be"):
         TesterConfig(t=10 ** 400)
-    assert TesterConfig(t=np.int64(4)).t == 4
+    # a numpy t would make every counter a numpy scalar: slower, and a
+    # final_a0 that json.dumps rejects
+    t = TesterConfig(t=np.int64(4)).t
+    assert t == 4 and type(t) is int
     # random.Random would seed None from the OS and hash a float or a str
     for seed in (None, 1.5, "3"):
         with pytest.raises(TypeError):
@@ -65,6 +69,10 @@ def test_config_validation():
     got, want = (run(QueriedString(x), QueriedString(y), c)
                  for c in (cfg, TesterConfig(t=16, c_s=0.3, seed=3)))
     assert (got.answer, got.ledger) == (want.answer, want.ledger)
+    x, y = gen_random_edits(1 << 14, 20, seed=1)
+    got, want = (_run(x, y, t=t, epsilon=0.5, c_s=0.5, seed=3) for t in (np.int64(64), 64))
+    assert type(got.final_a0) is int and json.dumps(got.final_a0) == "28"
+    assert (got.answer, got.final_a0, got.ledger) == (want.answer, want.final_a0, want.ledger)
 
 
 def test_small_threshold_relative_to_n_warns():
@@ -227,26 +235,29 @@ def test_one_round_call_per_counted_row(monkeypatch):
     # counted once per checked block, so the last two cases (found by
     # fuzzing) end a run inside a block: a Close walk whose last block is
     # cut at ModeState.end, and a Far stop right after a failed sampled row.
-    # A round hands over to the other mode exactly when sampling_round
-    # returns -1 or contiguous_round returns True, so those returns are the
-    # run's mode transitions.  Within a block, sampling_round hands out
-    # each checked row once: its returns strictly decrease to 0 or -1, one
-    # call for each row _check_block counted.
-    calls = {"sampling_round": 0, "contiguous_round": 0}
-    last, blocks, handouts, handovers = [], [], [], []
+    # Within a block, sampling_round hands out each checked row once: its
+    # returns strictly decrease to 0, one call for each row _check_block
+    # counted, and no call changes a counter, a diagonal or the events.
+    # run hands a failed block's end row to _fail_row right after the
+    # block's last call, and only then, so the _fail_row calls and the
+    # True returns of contiguous_round are the run's mode transitions.
+    calls = {"sampling_round": 0, "contiguous_round": 0, "_fail_row": 0}
+    log, blocks, handouts = [], [], []
+
+    def charges(state):
+        return list(state.costs.a), list(state.diagonals), len(state.stats.events)
+
     for name in calls:
         inner = getattr(gaped.tester, name)
 
-        def counted(*args, _name=name, _inner=inner):
+        def counted(state, *args, _name=name, _inner=inner):
             calls[_name] += 1
-            got = _inner(*args)
-            last[:] = [_name, got]
+            before = charges(state)
+            got = _inner(state, *args)
+            log.append((_name, got))
             if _name == "sampling_round":
                 handouts[-1].append(got)
-                if got == -1:
-                    handovers.append(_name)
-            elif got is True:
-                handovers.append(_name)
+                assert charges(state) == before
             return got
 
         monkeypatch.setattr(gaped.tester, name, counted)
@@ -258,6 +269,7 @@ def test_one_round_call_per_counted_row(monkeypatch):
         used = check_block(state, x, y)
         blocks.append((size, used, state.block_failed))
         handouts.append([])
+        log.append(("_check_block", len(blocks) - 1))
         return used
 
     monkeypatch.setattr(gaped.tester, "_check_block", recorded)
@@ -272,25 +284,32 @@ def test_one_round_call_per_counted_row(monkeypatch):
     for (x, y), kw, ending in cases:
         for name in calls:
             calls[name] = 0
+        log.clear()
         blocks.clear()
         handouts.clear()
-        handovers.clear()
         v = _run(x, y, **kw)
         s = v.stats
         assert s.sampled_rows > 0, kw
         for (_, used, failed), got in zip(blocks, handouts, strict=True):
             assert len(got) == used, kw
             assert all(a > b for a, b in zip(got, got[1:])), kw
-            assert got[-1] == (-1 if failed else 0), kw
-        assert calls == {"sampling_round": s.sampled_rows,
-                         "contiguous_round": s.contiguous_rows}, kw
-        assert len(handovers) == v.mode_transitions, kw
+            assert got[-1] == 0, kw
+        # what follows each block's last handout: _fail_row iff it failed
+        starts = [k for k, (name, _) in enumerate(log) if name == "_check_block"]
+        tail = log + [(None, None)]
+        after = [tail[k + used + 1][0] for k, (_, used, _) in zip(starts, blocks)]
+        assert [a == "_fail_row" for a in after] == [f for _, _, f in blocks], kw
+        assert calls["_fail_row"] == sum(f for _, _, f in blocks), kw
+        assert calls["sampling_round"] == s.sampled_rows, kw
+        assert calls["contiguous_round"] == s.contiguous_rows, kw
+        assert (calls["_fail_row"] + log.count(("contiguous_round", True))
+                == v.mode_transitions), kw
         if ending == "cut":
             size, used, failed = blocks[-1]
-            assert v.answer is Answer.CLOSE and last == ["sampling_round", 0]
+            assert v.answer is Answer.CLOSE and log[-1] == ("sampling_round", 0)
             assert v.mode_transitions >= 2 and not failed and used < size
         elif ending == "failed":
-            assert v.answer is Answer.FAR and last == ["sampling_round", -1]
+            assert v.answer is Answer.FAR and log[-1] == ("_fail_row", None)
             assert blocks[-1][2]
 
 
@@ -374,7 +393,8 @@ def test_block_check_matches_the_row_by_row_check(pair, t, c_s, epsilon, seed):
     # same rows, same ledgers down to the positions, same outcome.
     x, y = pair
     cfg = TesterConfig(t=t, epsilon=epsilon, c_s=c_s, seed=seed)
-    with mock.patch.object(gaped.tester, "sampling_round", ref_sampling_round):
+    with (mock.patch.object(gaped.tester, "sampling_round", ref_sampling_round),
+          mock.patch.object(gaped.tester, "_fail_row", ref_fail_row)):
         expected = _fingerprint(x, y, cfg)
     assert _fingerprint(x, y, cfg) == expected
 
