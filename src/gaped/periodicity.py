@@ -123,16 +123,40 @@ def mismatched_diagonals(x, y, lo: int, hi: int, diagonals):
                    for j in range(max(lo, 0, -d), min(hi, len(x) - 1, len(y) - 1 - d) + 1))}
 
 
+def first_mismatch(x, y, rows, d: int, period: PeriodState | None = None) -> int:
+    """Index of the first of `rows` that fails on diagonal d; len(rows) if none.
+
+    rows is a strictly increasing int64 array.  Without a period a row r
+    fails unless x[r] and y[r + d] are both in range and equal; with one,
+    it fails where x[r] or y[r + d] is in range and off the pattern slot
+    of r, as row_deviates reads it with d for d_max.  The rows are looked
+    at uncharged, then charged as a row-by-row walk reads them: x at every
+    row up to and including the failing one, and y at the same rows
+    except a failing row where x already broke the pattern.
+    """
+    cx, cy = x.look(rows), y.look(rows + d)
+    if period is None:
+        fails = (cx < 0) | (cx != cy)
+    else:
+        c = np.frombuffer(period.p, dtype=np.uint8)[(rows - period.i_pat) % len(period.p)]
+        x_broke = (cx >= 0) & (cx != c)
+        fails = x_broke | ((cy >= 0) & (cy != c))
+    k = int(np.argmax(fails)) if fails.any() else len(rows)
+    x.charge(rows[:k + 1])
+    x_failed = period is not None and k < len(rows) and bool(x_broke[k])
+    y.charge(rows[:k + 1 - x_failed] + d)
+    return k
+
+
 def probe_diagonal(x, y, d: int, lo: int, hi: int, gaps: GapStream) -> bool:
     """Check the rows of [lo .. hi] that the gaps keep on diagonal d.
 
     True on the first mismatch.  The rows are lo - 1 plus the running
-    sums of the gaps, walked a block at a time (GapStream.rows) with
-    uncharged looks; only pairs with both reads in range count.  Each
-    block charges x and y at the in-range rows it checked, up to and
-    including a mismatch, and takes the gaps a row-by-row walk would
-    have drawn: one per row up to a mismatch, or, on a miss, one more
-    for the draw that passes hi.  A rate-1 stream draws nothing.
+    sums of the gaps, walked a block at a time (GapStream.rows); only
+    rows with both reads in range are checked, by first_mismatch, which
+    charges what a row-by-row walk reads.  Each block takes the gaps that
+    walk would have drawn: one per row up to a mismatch, or, on a miss,
+    one more for the draw that passes hi.  A rate-1 stream draws nothing.
     """
     first, last = max(0, -d), min(len(x), len(y) - d) - 1
     r = lo - 1
@@ -140,15 +164,9 @@ def probe_diagonal(x, y, d: int, lo: int, hi: int, gaps: GapStream) -> bool:
         rows = gaps.rows(r, hi + 1)[1:]
         kept = int(np.searchsorted(rows, hi, side="right"))
         a, b = np.searchsorted(rows[:kept], (first, last + 1)).tolist()
-        at = rows[a:b]
-        hit = x.look(at) != y.look(at + d)
-        found = bool(hit.any())
-        if found:
-            at = at[:int(np.argmax(hit)) + 1]
-        x.charge(at)
-        y.charge(at + d)
-        if found:
-            gaps.skip(a + len(at))
+        k = first_mismatch(x, y, rows[a:b], d)
+        if k < b - a:
+            gaps.skip(a + k + 1)
             return True
         if kept < len(rows):  # the draw at kept passed hi
             gaps.skip(kept + 1)

@@ -36,6 +36,7 @@ from .alignment import DIAG_DOWN, DIAG_UP, SUBSTITUTION, SuccinctAlignment
 from .periodicity import (
     PeriodState,
     find_period_transition,
+    first_mismatch,
     mismatched_diagonals,
     probe_diagonal,
 )
@@ -193,37 +194,22 @@ def _check_block(state: ModeState, x, y) -> int:
 
     The block is state.i and the rows the stream's next gaps reach from
     it (GapStream.rows): as many as can fall before state.end, at most
-    sampled.BLOCK.  With a captured period (several active diagonals) a
-    row checks the period pattern, x directly and y along the highest
-    diagonal; with one diagonal, the shifted characters.  Up to the first
-    failing row before state.end, x is charged at every row and y
-    wherever x kept the period pattern, as the row-by-row check reads
-    them; each passing row takes its gap from the stream, and gaps shown
-    past a failing row stay in it.  The block ends on the failing row, or
-    on the row the last gap reaches (see ModeState).
+    sampled.BLOCK.  first_mismatch checks the rows before state.end, and
+    charges them, against the period pattern along the highest diagonal
+    when one is captured (several active diagonals), else on the lone
+    diagonal.  Each passing row takes its gap from the stream, and gaps
+    shown past a failing row stay in it.  The block ends on the failing
+    row, or on the row the last gap reaches (see ModeState).
     """
     rows = state.draw_gap.rows(state.i, state.end)
     block = rows[:-1]
-    cx = x.look(block)
-    period = state.period
-    if period is None:
-        ys = block + state.diagonals[0]
-        x_broke = np.zeros(len(block), dtype=bool)
-        fails = (cx < 0) | (cx != y.look(ys))
-    else:
-        ys = block + period.d_max
-        c = np.frombuffer(period.p, dtype=np.uint8)[(block - period.i_pat) % len(period.p)]
-        cy = y.look(ys)
-        x_broke = (cx >= 0) & (cx != c)
-        fails = x_broke | ((cy >= 0) & (cy != c))
     live = int(np.searchsorted(block, state.end))
-    k = int(np.argmax(fails[:live])) if fails[:live].any() else live
+    period = state.period
+    d = state.diagonals[0] if period is None else period.d_max
+    k = first_mismatch(x, y, block[:live], d, period)
     used = min(k + 1, live)
-    failed = k < live
-    x.charge(block[:used])
-    y.charge(ys[:used - bool(failed and x_broke[k])])
     state.draw_gap.skip(k)
-    state.i, state.block_failed = int(rows[k]), failed
+    state.i, state.block_failed = int(rows[k]), k < live
     state.stats.sampled_rows += used
     return used
 
