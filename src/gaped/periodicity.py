@@ -108,38 +108,42 @@ def find_period_transition(x, y, state: PeriodState, i: int) -> int:
     return lo - 1
 
 
-def mismatched_diagonals(x, y, lo: int, hi: int, diagonals):
-    """Diagonals with a direct mismatch in rows [lo .. hi] after a transition.
+def mismatched_diagonals(x, y, lo: int, hi: int, diagonals) -> dict[int, int]:
+    """Each diagonal's first direct mismatch in rows [lo .. hi] after a transition.
 
-    Returns those d with x[j'] != y[j'+d] for some row j' with both reads
-    in range.  Each diagonal reads its rows in order, x then y, up to its
-    first mismatch: the reads of a rate-1 probe_diagonal over the window.
-    Rows truncated by a string boundary never charge, which can leave more
-    than one diagonal uncharged near the end of the strings (the caller
-    probes the extras separately).
+    Returns {d: the first row j' with x[j'] != y[j'+d], both reads in
+    range}; a diagonal with no such row has no entry.  One walk reads the
+    window: each diagonal reads its rows in order, x then y, up to its
+    first mismatch, which are the reads of a rate-1 probe_diagonal over
+    the window.  Rows truncated by a string boundary never mismatch.
     """
-    return {d for d in diagonals
-            if any(x.read(j) != y.read(j + d)
-                   for j in range(max(lo, 0, -d), min(hi, len(x) - 1, len(y) - 1 - d) + 1))}
+    first = {}
+    for d in diagonals:
+        for j in range(max(lo, 0, -d), min(hi, len(x) - 1, len(y) - 1 - d) + 1):
+            if x.read(j) != y.read(j + d):
+                first[d] = j
+                break
+    return first
 
 
 def first_mismatch(x, y, rows, d: int, period: PeriodState | None = None) -> int:
     """Index of the first of `rows` that fails on diagonal d; len(rows) if none.
 
-    rows is a strictly increasing int64 array.  Without a period a row r
-    fails unless x[r] and y[r + d] are both in range and equal; with one,
-    it fails where x[r] or y[r + d] is in range and off the pattern slot
-    of r, as row_deviates reads it with d for d_max.  The rows are looked
-    at uncharged, then charged as a row-by-row walk reads them: x at every
-    row up to and including the failing one, and y at the same rows
-    except a failing row where x already broke the pattern.
+    rows is a strictly increasing int64 array of rows inside x.  Without
+    a period a row r fails where y[r + d] is out of range or differs from
+    x[r]; with one, it fails where x[r], or an in-range y[r + d], is off
+    the pattern slot of r, as row_deviates reads it with d for d_max.
+    The rows are looked at uncharged, then charged as a row-by-row walk
+    reads them: x at every row up to and including the failing one, and y
+    at the same rows except a failing row where x already broke the
+    pattern.
     """
     cx, cy = x.look(rows), y.look(rows + d)
     if period is None:
-        fails = (cx < 0) | (cx != cy)
+        fails = cx != cy
     else:
         c = np.frombuffer(period.p, dtype=np.uint8)[(rows - period.i_pat) % len(period.p)]
-        x_broke = (cx >= 0) & (cx != c)
+        x_broke = cx != c
         fails = x_broke | ((cy >= 0) & (cy != c))
     k = int(np.argmax(fails)) if fails.any() else len(rows)
     x.charge(rows[:k + 1])

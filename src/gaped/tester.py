@@ -17,9 +17,10 @@ stops far the moment the finishing diagonal's counter passes t or the
 active set empties; reaching the last row means close, and close runs
 carry a succinct alignment built from the surviving diagonals.
 
-Rows are 0-based: row i compares x[i] against y[i+d].  Unequal-length
-inputs are padded conceptually: n = max(|x|,|y|), reads past either end
-mismatch everything, and a length difference beyond t is immediately far.
+Rows are 0-based: row i compares x[i] against y[i+d].  Like the
+selective scan, the walk takes the rows of x and finishes on diagonal
+d_end = |y| - |x|; a read past either end of y mismatches everything,
+and a length difference beyond t is immediately far.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
     # sees one call per run; draw_gap makes every later draw on rng_rows.
     return ModeState(
         i=geometric_gap(rate, rng_rows) - 1,
-        end=n,
+        end=len(x),
         diagonals=[0],
         costs=CostArray(cfg.t),
         period=None,
@@ -160,18 +161,19 @@ def initial_state(x, y, cfg: TesterConfig) -> ModeState:
 def contiguous_round(state: ModeState, x, y) -> bool:
     """Process one contiguous row; True if it captured the regime.
 
-    The row goes through scan.advance_row with the finishing diagonal 0:
-    diagonals whose counter exceeds t - |d| are skipped for good, potent
-    ones survive, and each mismatch charges its diagonal and spreads to its
-    neighbors.  After 2(max-min)+1 consecutive quiet rows (2 for a lone
-    diagonal) the regime is captured, the tester jumps to the next sampled
-    row and the call returns True.  The extra quiet row beyond 2(max-min)
+    The row goes through scan.advance_row with the finishing diagonal
+    d_end = |y| - |x|: diagonals whose counter exceeds t - |d - d_end|
+    are skipped for good, potent ones survive, and each mismatch charges
+    its diagonal and spreads to its neighbors.  After 2(max-min)+1
+    consecutive quiet rows (2 for a lone diagonal) the regime is
+    captured, the tester jumps to the next sampled row and the call
+    returns True.  The extra quiet row beyond 2(max-min)
     makes the captured window wide enough that a later transition search
     is valid everywhere it can land.
     """
     i = state.i
     stats = state.stats
-    nxt, charged = advance_row(state.costs, state.diagonals, i, x, y, 0)
+    nxt, charged = advance_row(state.costs, state.diagonals, i, x, y, len(y) - len(x))
     for d in charged:
         stats.events.append((i, d, SUBSTITUTION))
     state.diagonals = nxt
@@ -230,11 +232,14 @@ def _fail_row(state: ModeState, x, y) -> None:
     """Charge the sampled row state.i that broke the pattern.
 
     With one diagonal, charge it.  With a captured period, pin down the
-    transition row by binary search, charge every diagonal with a direct
-    mismatch in the transition window and probe the uncharged survivors
-    on an independent sample stream.  The charged diagonals spread to
-    their neighbours; contiguous rows go on from the next row, and period
-    stays as it is until the next capture, since only sampling reads it.
+    transition row j by binary search and read the window j + 1 .. j + 1
+    + m once for each diagonal's first direct mismatch.  A diagonal is
+    charged if that row is at or before the failed row; past it, the
+    contiguous rows charge it at its own row.  Only the diagonals with no
+    mismatch in the window are probed, on an independent sample stream.
+    The charged diagonals spread to their neighbours; contiguous rows go
+    on from the next row, and period stays as it is until the next
+    capture, since only sampling reads it.
     """
     period = state.period
     rs = state.i
@@ -247,10 +252,11 @@ def _fail_row(state: ModeState, x, y) -> None:
     else:
         stats.search_rows.append(rs)
         j = find_period_transition(x, y, period, rs)
-        charged = mismatched_diagonals(x, y, j + 1, j + 1 + period.m, diags)
-        uncharged = [d for d in diags if d not in charged]
-        for d in uncharged:
-            if probe_diagonal(x, y, d, period.i_pat, rs, state.draw_probe_gap):
+        first = mismatched_diagonals(x, y, j + 1, j + 1 + period.m, diags)
+        charged = {d for d, row in first.items() if row <= rs}
+        for d in diags:
+            if d not in first and probe_diagonal(x, y, d, period.i_pat, rs,
+                                                 state.draw_probe_gap):
                 charged.add(d)
     live = set(diags)
     for d in diags:
@@ -312,7 +318,7 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
     state = initial_state(x, y, cfg)
     stats = state.stats
     answer = Answer.CLOSE
-    end = state.end
+    end, d_end = state.end, len(y) - len(x)
     sampling, transitions = True, 0
     while state.i < end:
         if sampling:
@@ -325,19 +331,19 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
             sampling, transitions = False, transitions + 1
         elif contiguous_round(state, x, y):
             sampling, transitions = True, transitions + 1
-        if state.costs.cost(0) > t or not state.diagonals:
+        if state.costs.cost(d_end) > t or not state.diagonals:
             answer = Answer.FAR
             break
     alignment = None
     if answer is Answer.CLOSE:
-        if state.rep_d != 0:
-            _move_representative(state, 0, state.end)
+        if state.rep_d != d_end:
+            _move_representative(state, d_end, state.end)
         state.segments.append((state.seg_start, state.end, state.rep_d))
         alignment = SuccinctAlignment(segments=tuple(state.segments),
                                       events=tuple(stats.events))
     return Verdict(
         answer=answer,
-        final_a0=min(state.costs.cost(0), t + 1),
+        final_a0=min(state.costs.cost(d_end), t + 1),
         ledger=ledger_snapshot(x, y),
         mode_transitions=transitions,
         alignment=alignment,

@@ -313,8 +313,11 @@ def ref_sampling_round(state, x, y, queued) -> int:
     left, setting state.block_failed if the row failed.  Each row reads x,
     then y unless x already broke the period pattern, and each passing row
     draws its gap from state.draw_gap on the spot; a failed row stays at
-    state.i for run to hand to _fail_row (ref_fail_row).
+    state.i for run to hand to _fail_row (ref_fail_row), which clears the
+    flag.  A run that does not hand it over fails the entry assertion
+    rather than checking that row forever.
     """
+    assert not state.block_failed, "a failed sampled row was not handed to _fail_row"
     period = state.period
     rs = state.i
     state.stats.sampled_rows += 1
@@ -329,24 +332,37 @@ def ref_sampling_round(state, x, y, queued) -> int:
 
 
 def ref_fail_row(state, x, y) -> None:
-    """gaped.tester._fail_row with the transition window and the probes
-    walking their rows one at a time (ref_probe_diagonal)."""
+    """gaped.tester._fail_row with the transition window walked row by row
+    and the probes one kept row at a time (ref_probe_diagonal).
+
+    The window j + 1 .. j + 1 + m is walked once, each diagonal reading x
+    then y at its in-range rows up to its first mismatch.  A diagonal
+    whose first mismatch is at or before the failed row rs is charged;
+    one with no mismatch in the window is probed; one whose first
+    mismatch lies past rs is neither.  Clears state.block_failed.
+    """
     rs = state.i
     period = state.period
     stats = state.stats
     costs = state.costs
     t = costs.t
     diags = state.diagonals
+    state.block_failed = False
     if period is None:
         charged = {diags[0]}
     else:
         stats.search_rows.append(rs)
         j = find_period_transition(x, y, period, rs)
-        lo, hi = j + 1, j + 1 + period.m
-        charged = {d for d in diags if ref_probe_diagonal(x, y, d, lo, hi, lambda: 1)}
-        uncharged = [d for d in diags if d not in charged]
-        for d in uncharged:
-            if ref_probe_diagonal(x, y, d, period.i_pat, rs, state.draw_probe_gap):
+        first = {}
+        for d in diags:
+            for r in range(j + 1, j + 2 + period.m):
+                if 0 <= r < len(x) and 0 <= r + d < len(y) and x.read(r) != y.read(r + d):
+                    first[d] = r
+                    break
+        charged = {d for d in first if first[d] <= rs}
+        for d in diags:
+            if d not in first and ref_probe_diagonal(x, y, d, period.i_pat, rs,
+                                                     state.draw_probe_gap):
                 charged.add(d)
     live = set(diags)
     for d in diags:

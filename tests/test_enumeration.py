@@ -9,14 +9,17 @@ against x with three substitutions to c or d, both ways round, at t = 6
 and c_s in {0.05, 0.5}.  Every run is at seed 0, and for every run:
 
 - selective_scan returns ED when ED <= t, and None otherwise;
-- the main tester answers Close when 2 ED <= t;
+- the main tester answers Close, with final_a0 <= ED, when 2 ED <= t;
 - the warm-up tester answers Close when ED <= t;
-- a Close certificate passes validate_alignment at a price of at most 13 t^2;
+- a Close certificate of the main tester runs from row 0 on diagonal 0
+  to row |x| on diagonal |y| - |x|, and passes validate_alignment at a
+  price of at most 13 t^2;
 - each ledger has distinct <= total and distinct <= |x| + |y|.
 
-The main tester's final_a0 <= ED is not asserted: the tester finishes on
-diagonal 0 after max(|x|, |y|) rows, so rows past the shorter string are
-charged as mismatches (ROADMAP item 1).
+Close rests on final_a0 <= ED: the finishing diagonal's counter must not
+pass the distance.  A tester that finishes on diagonal 0 after
+max(|x|, |y|) rows, charging the rows past the shorter string, breaks
+both that and the endpoint on unequal lengths (ROADMAP item 1, Cause B).
 """
 
 import itertools
@@ -51,8 +54,11 @@ def _check_pair(x: bytes, y: bytes, ts, c_ss) -> int:
             case = (x, y, t, c_s)
             v = run(QueriedString(x), QueriedString(y), TesterConfig(t=t, c_s=c_s, seed=0))
             if 2 * ed <= t:
-                assert v.is_close, case
+                assert v.is_close and v.final_a0 <= ed, case
             if v.is_close:
+                segments = v.alignment.segments
+                assert segments[0][::2] == (0, 0), case
+                assert segments[-1][1:] == (len(x), len(y) - len(x)), case
                 assert validate_alignment(v.alignment, x, y) <= 13 * t * t, case
             _assert_ledger(v.ledger, x, y, case)
             w = run_sampled_tester(x, y, t, c_s, random.Random(0))

@@ -157,8 +157,8 @@ def test_mismatched_diagonals_charges_deviating_diagonals():
     j = 100
     for k in range(j + 1, j + 40):
         x[k] = ord("z")
-    charged = mismatched_diagonals(q(x), q(y), j + 1, j + 3, [0, 2])
-    assert charged == {0, 2}
+    first = mismatched_diagonals(q(x), q(y), j + 1, j + 3, [0, 2])
+    assert first == {0: j + 1, 2: j + 1}
 
 
 def test_mismatched_diagonals_spares_the_aligned_diagonal():
@@ -170,15 +170,15 @@ def test_mismatched_diagonals_spares_the_aligned_diagonal():
     x = bytes(_periodic(b"abcd", n))
     s = 150
     y = x[:s] + b"z" * g + x[s : n - g]
-    charged = mismatched_diagonals(q(x), q(y), s, s + g, [0, g])
-    assert charged == {0}
+    first = mismatched_diagonals(q(x), q(y), s, s + g, [0, g])
+    assert first == {0: s}
 
 
 def test_mismatched_diagonals_truncates_at_string_end():
     x = _periodic(b"ab", 20)
-    charged = mismatched_diagonals(q(x), q(x), 19, 21, [0, 2])
+    first = mismatched_diagonals(q(x), q(x), 19, 21, [0, 2])
     # only row 19..20 can be read; nothing mismatches
-    assert charged == set()
+    assert first == {}
 
 
 @st.composite
@@ -195,11 +195,18 @@ def _window_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_mismatched_diagonals_matches_rate_one_probes(case):
     # The window walk makes the reads of a rate-1 row walk on each
-    # diagonal: the same set, and ledgers down to the positions.
+    # diagonal: the same first mismatching rows, and ledgers down to the
+    # positions.  The reference probes the window one row at a time.
     x, y, lo, hi, diagonals = case
     qx, qy, rx, ry = q(x), q(y), q(x), q(y)
     got = mismatched_diagonals(qx, qy, lo, hi, diagonals)
-    assert got == {d for d in diagonals if ref_probe_diagonal(rx, ry, d, lo, hi, lambda: 1)}
+    want = {}
+    for d in diagonals:
+        row = next((r for r in range(lo, hi + 1)
+                    if ref_probe_diagonal(rx, ry, d, r, r, lambda: 1)), None)
+        if row is not None:
+            want[d] = row
+    assert got == want
     for walked, ref in ((qx, rx), (qy, ry)):
         assert (walked.distinct, walked.total, walked.positions_read()) == (
             ref.distinct, ref.total, ref.positions_read())

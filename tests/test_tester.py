@@ -71,7 +71,8 @@ def test_config_validation():
     assert (got.answer, got.ledger) == (want.answer, want.ledger)
     x, y = gen_random_edits(1 << 14, 20, seed=1)
     got, want = (_run(x, y, t=t, epsilon=0.5, c_s=0.5, seed=3) for t in (np.int64(64), 64))
-    assert type(got.final_a0) is int and json.dumps(got.final_a0) == "28"
+    assert type(got.final_a0) is int and json.dumps(got.final_a0) == "20"
+    assert edit_distance(x, y) == 20
     assert (got.answer, got.final_a0, got.ledger) == (want.answer, want.final_a0, want.ledger)
 
 
@@ -150,7 +151,7 @@ def test_each_period_transition_triggers_one_search():
         v = _run(x, y, t=16, seed=3)
         assert v.is_close, gseed
         assert len(v.stats.search_rows) == 5, gseed
-        assert v.final_a0 in {7, 9, 10, 11}, (gseed, v.final_a0)
+        assert v.final_a0 == edit_distance(x, y) == 6, (gseed, v.final_a0)
 
 
 def test_one_sided_excursions_charge_the_deviating_side():
@@ -164,15 +165,16 @@ def test_one_sided_excursions_charge_the_deviating_side():
     assert v.is_close
     assert len(v.stats.search_rows) == 3
     assert v.stats.search_rows == [1634, 2449, 3264]
-    assert v.final_a0 == 16
+    assert v.final_a0 == 13
     assert edit_distance(x, y) == 13
 
 
 def test_sparse_sampling_outcomes_are_seed_stable():
     x, y = gen_periodic_splice(4096, 2, 2, seed=0, sigma=8)
+    assert edit_distance(x, y) == 3
     expected = {
         0: (0, [], 0),
-        1: (2, [2047, 3070], 5),
+        1: (2, [2047, 3074], 3),
         2: (1, [3073], 2),
     }
     for tseed, (searches, rows, a0) in expected.items():
@@ -200,21 +202,21 @@ def test_run_ledgers_are_pinned():
     # per run; the certificate pins where each segment starts and ends
     x, y = gen_periodic_splice(4096, 2, 5, seed=1, sigma=8)
     assert _ledger_row(x, y, t=16, seed=3) == (
-        "close", 9, 4096, 4096, 9954, 3980, 116, 99, 12, "d7c04c486ae9c935")
+        "close", 6, 4096, 4096, 9245, 4009, 87, 72, 12, "7685d5c4c9ed4ddc")
     x, y = gen_random_edits(4096, 3, seed=11)  # rate 1 at t=8
     assert _ledger_row(x, y, t=8, seed=2) == (
-        "close", 4, 4096, 4097, 8292, 4077, 20, 28, 7, "bb75be304bd0bc95")
+        "close", 3, 4096, 4097, 8288, 4076, 20, 25, 6, "45c1c626512eff3e")
     x, y = gen_random_edits(1 << 14, 32, seed=5)
     assert _ledger_row(x, y, t=64, epsilon=0.5, c_s=0.5, seed=7) == (
-        "close", 30, 10238, 10317, 27268, 9388, 852, 1472, 51,
-        "75be68f3b7e50678")
+        "close", 29, 10238, 10327, 27362, 9385, 853, 1483, 52,
+        "0114f4598cff1e54")
     rng = random.Random(21)
     x = random_bytes(rng, 4096)
     y = x[:1000] + x[1003:2500] + b"c" + x[2500:]
     assert _ledger_row(x, y, t=8, seed=4) == (
-        "close", 6, 4096, 4094, 8304, 4083, 13, 36, 4, "0662abf3995b3bd5")
+        "close", 4, 4096, 4094, 8290, 4083, 13, 30, 4, "a8cd5ca6cf79c559")
     assert _ledger_row(y, x, t=8, seed=4) == (
-        "close", 6, 4094, 4096, 8310, 4081, 15, 40, 5, "324cd96d8cd56e41")
+        "close", 4, 4094, 4096, 8296, 4080, 14, 30, 4, "90ffd6ae26bdf607")
     x, y = gen_independent_random(4096, seed=3, sigma=8)
     assert _ledger_row(x, y, t=4, seed=1) == ("far", 5, 6, 6, 46, 1, 5, 13, 1, None)
     # the selective scan: (result, distinct_x, distinct_y, total_accesses)
@@ -400,9 +402,13 @@ def test_block_check_matches_the_row_by_row_check(pair, t, c_s, epsilon, seed):
 
 
 def test_a_probe_that_finds_a_mismatch_charges_its_diagonal(monkeypatch):
-    # The transition window charges no diagonal here, so both survivors
-    # are probed over the regime; the probe on diagonal 1 finds a
-    # mismatch, and diagonal 1 is charged at the failed sampled row.
+    # The run fails the sampled row 17 on the regime of diagonals -1..1.
+    # In the transition window 17..19, diagonal -1 mismatches at row 17
+    # and is charged; diagonals 0 and 1 read past the end of y there and
+    # have no mismatch, so only they are probed over the regime.  The
+    # probe on diagonal 1 finds a mismatch, and diagonal 1 is charged at
+    # the failed sampled row too.  (Found by enumerating every x of three
+    # c's in a^18 against a^17 at t in {2, 3} and seeds 0-29.)
     probes = []
     inner = gaped.tester.probe_diagonal
 
@@ -411,26 +417,29 @@ def test_a_probe_that_finds_a_mismatch_charges_its_diagonal(monkeypatch):
         return probes[-1]
 
     monkeypatch.setattr(gaped.tester, "probe_diagonal", recorded)
-    v = _run(b"a" * 24, b"acaaaaaaaaaaaaaaaabaaaaaac", t=4, c_s=0.3, seed=577)
+    v = _run(b"acaaaaacaaaaaaaaac", b"a" * 17, t=3, c_s=0.3, seed=14)
     assert probes == [False, True]
-    assert v.stats.search_rows == [24]
-    assert [(d, kind) for row, d, kind in v.stats.events if row == 24] == [
-        (1, SUBSTITUTION)]
+    assert v.stats.search_rows == [17]
+    assert [(d, kind) for row, d, kind in v.stats.events if row == 17] == [
+        (-1, SUBSTITUTION), (1, SUBSTITUTION)]
     assert (v.answer.value, v.final_a0) == ("close", 2)
     assert (v.ledger.distinct_x, v.ledger.distinct_y, v.ledger.total_accesses) == (
-        22, 24, 85)
+        18, 17, 78)
 
 
 def test_an_emptied_active_set_is_far_below_the_threshold():
-    # Every diagonal's counter passes its t - |d| budget while the
-    # finishing diagonal's own counter is still at most t: the run stops
-    # Far because no diagonal is left, not because a0 passed t.
-    x, y = b"bbbbabbbaaaaab", b"aabbbbbbbabbbaa"
-    v = _run(x, y, t=3, c_s=100, seed=5)
+    # d_end = -2.  At row 8 the finishing diagonal, its counter at t, is
+    # no longer potent and diagonal -3 is past its t - |d - d_end|
+    # budget: the run stops Far because no diagonal is left, not because
+    # final_a0 passed t.  (Found by a seeded search of 200,000 small
+    # random pairs; no binary pair up to length 9 reaches this branch at
+    # t in {2, 3}, c_s = 0.3 and seed 0.)
+    x, y = b"abbbbbaaabb", b"bbbbabaab"
+    v = _run(x, y, t=3, c_s=0.3, seed=59)
     assert (v.answer.value, v.final_a0, v.alignment) == ("far", 3, None)
     assert (v.stats.sampled_rows, v.stats.contiguous_rows, v.stats.search_rows) == (
-        2, 8, [8])
-    assert edit_distance(x, y) == 7
+        2, 5, [6])
+    assert edit_distance(x, y) == 4
 
 
 # ---------------------------------------------------------------------------
