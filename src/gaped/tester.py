@@ -167,9 +167,9 @@ def contiguous_round(state: ModeState, x, y) -> bool:
     its diagonal and spreads to its neighbors.  After 2(max-min)+1
     consecutive quiet rows (2 for a lone diagonal) the regime is
     captured, the tester jumps to the next sampled row and the call
-    returns True.  The extra quiet row beyond 2(max-min)
-    makes the captured window wide enough that a later transition search
-    is valid everywhere it can land.
+    returns True.  The extra quiet row beyond 2(max-min) makes the
+    captured window wide enough that a later transition search is valid
+    everywhere it can land.
     """
     i = state.i
     stats = state.stats
