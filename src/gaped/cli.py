@@ -13,11 +13,12 @@ Subcommands:
 gen and bench know each --family flag from its one `Family` record.
 
 run reports print as JSON, or as CSV with --csv.  Exit status is 0 for
-any completed run regardless of verdict, 2 for bad or unknown flags
-(argparse names the flag and prints the subcommand's usage), 3 for files
-gaped cannot read or write.  All randomness flows from --seed, default 0.
---stable-output zeroes the wall-clock fields so output can be compared
-byte for byte.
+any completed run regardless of verdict, 1 when stdout's reader closes
+before the output is written (`gaped run ... | head -c 20`), 2 for bad
+or unknown flags (argparse names the flag and prints the subcommand's
+usage), 3 for files gaped cannot read or write.  All randomness flows
+from --seed, default 0.  --stable-output zeroes the wall-clock fields so
+output can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import random
 import statistics
 import sys
@@ -348,7 +350,15 @@ def main(argv=None) -> int:
     if unknown:
         # parse_args would report these with the top-level usage
         args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    return args.handler(args, args.command_parser)
+    try:
+        code = args.handler(args, args.command_parser)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+    except BrokenPipeError:
+        # The Python docs' recipe: stdout goes to devnull, so the flush at
+        # exit cannot fail again and print a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -7,14 +7,16 @@ ref_cost_table is the vectorized full DP over the whole grid, for pairs
 too long for the plain loop, and ref_optimal_alignment is its traceback
 with a fixed tie-break.  ref_banded_costs and ref_potent_sets are the
 pure-Python references for the banded grid the selective scan walks.
-ref_sampling_round is the main tester's row-by-row sampled-row check,
-the reference for its block check, and ref_fail_row its failed-row
-charge with the transition window and the probes walked row by row;
-ref_probe_diagonal is that row-by-row probe walk, the reference for the
-block probe, and ref_shortest_path_cost
-is the warm-up tester's band scan over the sampled rows, the reference
-for its diagonal transition.  ref_gap is the geometric gap draw written
-out, the reference for every gap the sampler gives.
+ref_run is the main tester as the paper's row loop, one sampled row, one
+window row and one probed row at a time, with every gap drawn by ref_gap
+from random.Random and all of its state its own: the reference for the
+tester's block checks, its numpy gap streams included, and fingerprint
+is what the two are compared on.  ref_probe_diagonal is that row-by-row
+probe walk, the reference for the block probe, and
+ref_shortest_path_cost is the warm-up tester's band scan over the
+sampled rows, the reference for its diagonal transition.  ref_gap is the
+geometric gap draw written out, the reference for every gap the sampler
+gives.
 """
 
 from __future__ import annotations
@@ -27,9 +29,12 @@ from hypothesis import strategies as st
 
 import gaped.scan
 from gaped.alignment import DIAG_DOWN, DIAG_UP, SUBSTITUTION, SuccinctAlignment
-from gaped.periodicity import find_period_transition, row_deviates
-from gaped.qstring import as_queried, bytes_match
+from gaped.periodicity import PeriodState, find_period_transition, row_deviates
+from gaped.qstring import QueriedString, as_queried, bytes_match, ledger_snapshot
+from gaped.sampled import sampling_rate
 from gaped.scan import CostArray, advance_row
+from gaped.tester import RunStats
+from gaped.verdict import Answer, Verdict
 
 INF = 1 << 28  # cost of a missing cell in the banded reference tables
 
@@ -306,74 +311,108 @@ def ref_probe_diagonal(x, y, d: int, lo: int, hi: int, draw_gap) -> bool:
     return False
 
 
-def ref_sampling_round(state, x, y, queued) -> int:
-    """gaped.tester.sampling_round checking one row per call.
+def ref_run(x, y, cfg) -> Verdict:
+    """gaped.tester.run as the paper's row loop, one row at a time.
 
-    queued is ignored: each call checks one row and returns 0, the rows
-    left, setting state.block_failed if the row failed.  Each row reads x,
-    then y unless x already broke the period pattern, and each passing row
-    draws its gap from state.draw_gap on the spot; a failed row stays at
-    state.i for run to hand to _fail_row (ref_fail_row), which clears the
-    flag.  A run that does not hand it over fails the entry assertion
-    rather than checking that row forever.
+    Every gap is ref_gap on a random.Random: the sampled rows on the row
+    stream, the probed rows on the probe stream, both derived from
+    cfg.seed as the tester derives them.  A sampled row reads x, then y
+    unless x already broke the period pattern (row_deviates), or, without
+    a period, compares the lone diagonal.  A failed sampled row rs charges
+    the lone diagonal, or, with a period, each diagonal whose first direct
+    mismatch in the transition window j + 1 .. j + 1 + m is at or before
+    rs, and each diagonal with none there whose probe over the regime
+    (ref_probe_diagonal) finds one; the charged diagonals spread, and
+    contiguous rows go on from rs + 1.  Contiguous rows go through
+    advance_row until 2(max - min) + 1 quiet rows (2 for a lone diagonal)
+    capture the regime.  The run keeps all of its state here, the
+    representative diagonal and the certificate's segments included.
     """
-    assert not state.block_failed, "a failed sampled row was not handed to _fail_row"
-    period = state.period
-    rs = state.i
-    state.stats.sampled_rows += 1
-    if period is None:
-        passed = bytes_match(x.read(rs), y.read(rs + state.diagonals[0]))
-    else:
-        passed = not row_deviates(x, y, period, rs)
-    state.block_failed = not passed
-    if passed:
-        state.i = rs + state.draw_gap()
-    return 0
+    x, y = as_queried(x), as_queried(y)
+    t, end, d_end = cfg.t, len(x), len(y) - len(x)
+    stats = RunStats()
+    if abs(d_end) > t:
+        return Verdict(Answer.FAR, t + 1, ledger_snapshot(x, y), 0, None, stats)
+    rate = sampling_rate(max(len(x), len(y)), t, cfg.c_s, cfg.epsilon)
+    base = random.Random(cfg.seed)
+    rows_rng = random.Random(base.getrandbits(64))
+    probe_rng = random.Random(base.getrandbits(64))
+    costs = CostArray(t)
+    diags, period, quiet, sampling, transitions = [0], None, 0, True, 0
+    rep_d, seg_start, segments = 0, 0, []
+
+    def move_representative(new, row):
+        nonlocal rep_d, seg_start
+        segments.append((seg_start, row, rep_d))
+        step = 1 if new > rep_d else -1
+        stats.events += [(row, d, DIAG_UP if step > 0 else DIAG_DOWN)
+                         for d in range(rep_d + step, new + step, step)]
+        rep_d, seg_start = new, row
+
+    i = ref_gap(rate, rows_rng) - 1
+    while i < end:
+        if sampling:
+            stats.sampled_rows += 1
+            if period is None:
+                passed = bytes_match(x.read(i), y.read(i + diags[0]))
+            else:
+                passed = not row_deviates(x, y, period, i)
+            if passed:
+                i += ref_gap(rate, rows_rng)
+                continue
+            charged = {diags[0]}
+            if period is not None:
+                stats.search_rows.append(i)
+                j = find_period_transition(x, y, period, i)
+                first = {}
+                for d in diags:
+                    for r in range(j + 1, j + 2 + period.m):
+                        if 0 <= r < end and 0 <= r + d < len(y) and x.read(r) != y.read(r + d):
+                            first[d] = r
+                            break
+                charged = {d for d, r in first.items() if r <= i}
+                charged.update(d for d in diags if d not in first and ref_probe_diagonal(
+                    x, y, d, period.i_pat, i, lambda: ref_gap(rate, probe_rng)))
+            live = set(diags)
+            for d in diags:
+                costs.mark_potent(d, i)
+            for d in sorted(charged):
+                costs.charge(d, i)
+                stats.events.append((i, d, SUBSTITUTION))
+                live.update(dd for dd in (d - 1, d + 1) if -t <= dd <= t)
+            diags, quiet, i = sorted(live), 0, i + 1
+            sampling, transitions = False, transitions + 1
+        else:
+            diags, charged = advance_row(costs, diags, i, x, y, d_end)
+            stats.events += [(i, d, SUBSTITUTION) for d in charged]
+            stats.contiguous_rows += 1
+            i += 1
+            if diags and rep_d not in diags:
+                move_representative(min(diags, key=lambda d: (costs.cost(d), abs(d), d)), i)
+            quiet = 0 if charged else quiet + 1
+            if diags and quiet >= (need := max(2, 2 * (diags[-1] - diags[0]) + 1)):
+                period = PeriodState.capture(x, diags, i - need) if len(diags) > 1 else None
+                i += ref_gap(rate, rows_rng) - 1
+                sampling, transitions = True, transitions + 1
+        if costs.cost(d_end) > t or not diags:
+            break
+    alignment = None
+    close = costs.cost(d_end) <= t and bool(diags)
+    if close:
+        if rep_d != d_end:
+            move_representative(d_end, end)
+        segments.append((seg_start, end, rep_d))
+        alignment = SuccinctAlignment(segments=tuple(segments), events=tuple(stats.events))
+    return Verdict(Answer.CLOSE if close else Answer.FAR, min(costs.cost(d_end), t + 1),
+                   ledger_snapshot(x, y), transitions, alignment, stats)
 
 
-def ref_fail_row(state, x, y) -> None:
-    """gaped.tester._fail_row with the transition window walked row by row
-    and the probes one kept row at a time (ref_probe_diagonal).
-
-    The window j + 1 .. j + 1 + m is walked once, each diagonal reading x
-    then y at its in-range rows up to its first mismatch.  A diagonal
-    whose first mismatch is at or before the failed row rs is charged;
-    one with no mismatch in the window is probed; one whose first
-    mismatch lies past rs is neither.  Clears state.block_failed.
-    """
-    rs = state.i
-    period = state.period
-    stats = state.stats
-    costs = state.costs
-    t = costs.t
-    diags = state.diagonals
-    state.block_failed = False
-    if period is None:
-        charged = {diags[0]}
-    else:
-        stats.search_rows.append(rs)
-        j = find_period_transition(x, y, period, rs)
-        first = {}
-        for d in diags:
-            for r in range(j + 1, j + 2 + period.m):
-                if 0 <= r < len(x) and 0 <= r + d < len(y) and x.read(r) != y.read(r + d):
-                    first[d] = r
-                    break
-        charged = {d for d in first if first[d] <= rs}
-        for d in diags:
-            if d not in first and ref_probe_diagonal(x, y, d, period.i_pat, rs,
-                                                     state.draw_probe_gap):
-                charged.add(d)
-    live = set(diags)
-    for d in diags:
-        costs.mark_potent(d, rs)
-    for d in sorted(charged):
-        costs.charge(d, rs)
-        stats.events.append((rs, d, SUBSTITUTION))
-        live.update(dd for dd in (d - 1, d + 1) if -t <= dd <= t)
-    state.diagonals = sorted(live)
-    state.quiet_rows = 0
-    state.i = rs + 1
+def fingerprint(tester, x, y, cfg):
+    """tester's Verdict on fresh QueriedStrings of x and y, with each
+    string's total reads and the positions it read."""
+    qx, qy = QueriedString(x), QueriedString(y)
+    v = tester(qx, qy, cfg)
+    return v, qx.total, qy.total, qx.positions_read(), qy.positions_read()
 
 
 def ref_shortest_path_cost(grid, x, y) -> int:

@@ -25,21 +25,21 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, stdout=subprocess.PIPE):
     """`python *args` in a fresh interpreter, which sees only the directory
     holding the gaped package this suite imported, installed or not; cwd
     is neutral since `-m` and `-c` put it on sys.path."""
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(gaped.__file__)))
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True, text=True, timeout=60, cwd=cwd,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60, cwd=cwd,
         env={**os.environ, "PYTHONPATH": pkg_root},
     )
 
 
-def run_module(argv, cwd):
+def run_module(argv, cwd, stdout=subprocess.PIPE):
     """`python -m gaped.cli` in a fresh interpreter (run_python)."""
-    return run_python(["-m", "gaped.cli", *argv], cwd)
+    return run_python(["-m", "gaped.cli", *argv], cwd, stdout)
 
 
 @pytest.fixture()
@@ -526,6 +526,22 @@ def test_module_invocation_smoke(pair, tmp_path):
                       tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "close"
+
+
+def test_a_reader_gone_before_the_report_exits_1_without_a_traceback(pair, tmp_path):
+    # `gaped run ... | head -c 20`, made certain: the pipe's read end is
+    # closed before the child starts, so writing the report fails with EPIPE.
+    xp, yp = pair
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module(["run", "--algo", "main", "--x", xp, "--y", yp, "-t", "8"],
+                          tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 1
 
 
 def test_rate_one_runs_never_import_numpy_random(tmp_path):

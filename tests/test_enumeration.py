@@ -9,17 +9,23 @@ against x with three substitutions to c or d, both ways round, at t = 6
 and c_s in {0.05, 0.5}.  Every run is at seed 0, and for every run:
 
 - selective_scan returns ED when ED <= t, and None otherwise;
-- the main tester answers Close, with final_a0 <= ED, when 2 ED <= t;
+- the main tester's final_a0 is at most ED, and it answers Close when
+  ED <= t;
+- the main tester makes the draws, reads and charges of ref_run, the
+  row-by-row reference, down to the positions read;
 - the warm-up tester answers Close when ED <= t;
 - a Close certificate of the main tester runs from row 0 on diagonal 0
   to row |x| on diagonal |y| - |x|, and passes validate_alignment at a
   price of at most 13 t^2;
 - each ledger has distinct <= total and distinct <= |x| + |y|.
 
-Close rests on final_a0 <= ED: the finishing diagonal's counter must not
-pass the distance.  A tester that finishes on diagonal 0 after
-max(|x|, |y|) rows, charging the rows past the shorter string, breaks
-both that and the endpoint on unequal lengths (ROADMAP item 1, Cause B).
+The paper promises Close only when 2 ED <= t; Close up to ED <= t rests
+on final_a0 <= ED, which the cap at t + 1 keeps true above t as well:
+the finishing diagonal's counter must not pass the distance.  A tester
+that finishes on diagonal 0 after max(|x|, |y|) rows, charging the rows
+past the shorter string, breaks both that and the endpoint on unequal
+lengths (ROADMAP item 1, Cause B).  bounded_exhaustive.py runs the main
+tester's checks on a larger bound, outside the suite.
 """
 
 import itertools
@@ -27,7 +33,7 @@ import random
 
 import pytest
 
-from conftest import ref_edit_distance
+from conftest import fingerprint, ref_edit_distance, ref_run
 from gaped.alignment import validate_alignment
 from gaped.qstring import QueriedString, ledger_snapshot
 from gaped.sampled import run_sampled_tester
@@ -52,9 +58,13 @@ def _check_pair(x: bytes, y: bytes, ts, c_ss) -> int:
         _assert_ledger(ledger_snapshot(qx, qy), x, y, (x, y, t))
         for c_s in c_ss:
             case = (x, y, t, c_s)
-            v = run(QueriedString(x), QueriedString(y), TesterConfig(t=t, c_s=c_s, seed=0))
-            if 2 * ed <= t:
-                assert v.is_close and v.final_a0 <= ed, case
+            cfg = TesterConfig(t=t, c_s=c_s, seed=0)
+            got = fingerprint(run, x, y, cfg)
+            assert got == fingerprint(ref_run, x, y, cfg), case
+            v = got[0]
+            assert v.final_a0 <= ed, case
+            if ed <= t:
+                assert v.is_close, case
             if v.is_close:
                 segments = v.alignment.segments
                 assert segments[0][::2] == (0, 0), case

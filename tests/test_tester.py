@@ -3,7 +3,6 @@
 import hashlib
 import json
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,15 +11,14 @@ from hypothesis import strategies as st
 
 import gaped.scan
 import gaped.tester
-from conftest import mutate, periodic_pairs, random_bytes, ref_fail_row, ref_sampling_round
+from conftest import fingerprint, mutate, periodic_pairs, random_bytes, ref_run
 from gaped.alignment import SUBSTITUTION, validate_alignment
 from gaped.generators import gen_independent_random, gen_periodic_splice, gen_random_edits
 from gaped.oracle import edit_distance
 from gaped.qstring import QueriedString
-from gaped.sampled import BLOCK, GapStream
+from gaped.sampled import GapStream
 from gaped.scan import selective_scan
 from gaped.tester import RunStats, TesterConfig, run
-from gaped.verdict import Answer
 
 
 def _run(x, y, **kw):
@@ -232,87 +230,35 @@ def test_run_ledgers_are_pinned():
 
 def test_one_round_call_per_counted_row(monkeypatch):
     # A traced benchmark run reads one sampling_round span per sampled row
-    # and one contiguous_round span per contiguous row; a loop that handled
-    # several rows in one call would break that silently.  sampled_rows is
+    # and one contiguous_round span per contiguous row, and checks the span
+    # counts against sampled_rows and contiguous_rows; what the rows do is
+    # test_block_check_matches_the_row_by_row_check's.  sampled_rows is
     # counted once per checked block, so the last two cases (found by
     # fuzzing) end a run inside a block: a Close walk whose last block is
-    # cut at ModeState.end, and a Far stop right after a failed sampled row.
-    # Within a block, sampling_round hands out each checked row once: its
-    # returns strictly decrease to 0, one call for each row _check_block
-    # counted, and no call changes a counter, a diagonal or the events.
-    # run hands a failed block's end row to _fail_row right after the
-    # block's last call, and only then, so the _fail_row calls and the
-    # True returns of contiguous_round are the run's mode transitions.
-    calls = {"sampling_round": 0, "contiguous_round": 0, "_fail_row": 0}
-    log, blocks, handouts = [], [], []
-
-    def charges(state):
-        return list(state.costs.a), list(state.diagonals), len(state.stats.events)
-
+    # cut at the end of x, and a Far stop right after a failed sampled row.
+    calls = {"sampling_round": 0, "contiguous_round": 0}
     for name in calls:
         inner = getattr(gaped.tester, name)
 
-        def counted(state, *args, _name=name, _inner=inner):
+        def counted(*args, _name=name, _inner=inner):
             calls[_name] += 1
-            before = charges(state)
-            got = _inner(state, *args)
-            log.append((_name, got))
-            if _name == "sampling_round":
-                handouts[-1].append(got)
-                assert charges(state) == before
-            return got
+            return _inner(*args)
 
         monkeypatch.setattr(gaped.tester, name, counted)
-    check_block = gaped.tester._check_block
-
-    def recorded(state, x, y):
-        # the size rule: the least power of two that covers the rows left, at most BLOCK
-        size = min(BLOCK, 1 << (state.end - state.i - 1).bit_length())
-        used = check_block(state, x, y)
-        blocks.append((size, used, state.block_failed))
-        handouts.append([])
-        log.append(("_check_block", len(blocks) - 1))
-        return used
-
-    monkeypatch.setattr(gaped.tester, "_check_block", recorded)
     cases = [
-        (gen_periodic_splice(4096, 2, 5, seed=1, sigma=8), dict(t=16, c_s=1.0, seed=3), None),
-        (gen_random_edits(1 << 14, 32, seed=5), dict(t=64, epsilon=0.5, c_s=0.5, seed=7), None),
-        (gen_random_edits(4096, 3, seed=11), dict(t=8, seed=2), None),  # rate 1
-        (gen_independent_random(4096, seed=3, sigma=8), dict(t=4, seed=1), None),  # far
-        (gen_random_edits(60, 2, seed=33523), dict(t=6, c_s=1.0, seed=53), "cut"),
-        (gen_random_edits(57, 4, seed=27743), dict(t=2, c_s=0.3, seed=88), "failed"),
+        (gen_periodic_splice(4096, 2, 5, seed=1, sigma=8), dict(t=16, c_s=1.0, seed=3)),
+        (gen_random_edits(1 << 14, 32, seed=5), dict(t=64, epsilon=0.5, c_s=0.5, seed=7)),
+        (gen_random_edits(4096, 3, seed=11), dict(t=8, seed=2)),  # rate 1
+        (gen_independent_random(4096, seed=3, sigma=8), dict(t=4, seed=1)),  # far
+        (gen_random_edits(60, 2, seed=33523), dict(t=6, c_s=1.0, seed=53)),  # cut
+        (gen_random_edits(57, 4, seed=27743), dict(t=2, c_s=0.3, seed=88)),  # failed
     ]
-    for (x, y), kw, ending in cases:
-        for name in calls:
-            calls[name] = 0
-        log.clear()
-        blocks.clear()
-        handouts.clear()
-        v = _run(x, y, **kw)
-        s = v.stats
+    for (x, y), kw in cases:
+        calls.update(sampling_round=0, contiguous_round=0)
+        s = _run(x, y, **kw).stats
         assert s.sampled_rows > 0, kw
-        for (_, used, failed), got in zip(blocks, handouts, strict=True):
-            assert len(got) == used, kw
-            assert all(a > b for a, b in zip(got, got[1:])), kw
-            assert got[-1] == 0, kw
-        # what follows each block's last handout: _fail_row iff it failed
-        starts = [k for k, (name, _) in enumerate(log) if name == "_check_block"]
-        tail = log + [(None, None)]
-        after = [tail[k + used + 1][0] for k, (_, used, _) in zip(starts, blocks)]
-        assert [a == "_fail_row" for a in after] == [f for _, _, f in blocks], kw
-        assert calls["_fail_row"] == sum(f for _, _, f in blocks), kw
-        assert calls["sampling_round"] == s.sampled_rows, kw
-        assert calls["contiguous_round"] == s.contiguous_rows, kw
-        assert (calls["_fail_row"] + log.count(("contiguous_round", True))
-                == v.mode_transitions), kw
-        if ending == "cut":
-            size, used, failed = blocks[-1]
-            assert v.answer is Answer.CLOSE and log[-1] == ("sampling_round", 0)
-            assert v.mode_transitions >= 2 and not failed and used < size
-        elif ending == "failed":
-            assert v.answer is Answer.FAR and log[-1] == ("_fail_row", None)
-            assert blocks[-1][2]
+        assert calls == {"sampling_round": s.sampled_rows,
+                         "contiguous_round": s.contiguous_rows}, kw
 
 
 @pytest.mark.parametrize("fn", [
@@ -376,29 +322,18 @@ def _tester_pairs(draw):
     return (y, x) if draw(st.booleans()) else (x, y)
 
 
-def _fingerprint(x, y, cfg):
-    qx, qy = QueriedString(x), QueriedString(y)
-    v = run(qx, qy, cfg)
-    s = v.stats
-    return (v.answer, v.final_a0, v.ledger, v.mode_transitions, s.sampled_rows,
-            s.contiguous_rows, s.search_rows, v.alignment, s.events, qx.total, qy.total,
-            qx.positions_read(), qy.positions_read())
-
-
 @pytest.mark.filterwarnings("ignore:t=.*exceeds sqrt")
 @given(pair=_tester_pairs(), t=st.integers(min_value=1, max_value=16),
        c_s=st.sampled_from([0.05, 0.3, 1.0, 3.0]), epsilon=st.sampled_from([0.0, 0.5]),
        seed=st.integers(min_value=0, max_value=1 << 30))
 @settings(max_examples=300, deadline=None)
 def test_block_check_matches_the_row_by_row_check(pair, t, c_s, epsilon, seed):
-    # The block check must make the row-by-row check's draws and reads:
-    # same rows, same ledgers down to the positions, same outcome.
+    # run checks sampled rows and probed rows a block at a time in numpy;
+    # it must make the draws and reads of ref_run's row loop: same rows,
+    # same ledgers down to the positions, same outcome.
     x, y = pair
     cfg = TesterConfig(t=t, epsilon=epsilon, c_s=c_s, seed=seed)
-    with (mock.patch.object(gaped.tester, "sampling_round", ref_sampling_round),
-          mock.patch.object(gaped.tester, "_fail_row", ref_fail_row)):
-        expected = _fingerprint(x, y, cfg)
-    assert _fingerprint(x, y, cfg) == expected
+    assert fingerprint(run, x, y, cfg) == fingerprint(ref_run, x, y, cfg)
 
 
 def test_a_probe_that_finds_a_mismatch_charges_its_diagonal(monkeypatch):
