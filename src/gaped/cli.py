@@ -179,6 +179,8 @@ def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
         x, y = family.generate(args.n, seed=args.seed, **params)
     except ValueError as exc:
         parser.error(str(exc))
+    except MemoryError:
+        parser.error(f"-n {args.n}: the instance is too large to build in memory")
     meta = {
         "schema_version": META_SCHEMA_VERSION,
         "family": family.name,
@@ -206,7 +208,11 @@ def _bench_task(flag: str, n: int, t: int, trial: int, base_seed: int,
     # processes agree with the parent.
     seed = ((base_seed * 1000003 + n) * 1000003 + t) * 1000003 + trial
     family = _FAMILIES[flag]
-    x, y = family.generate(n, seed=seed, **family.bench_params(t))
+    try:
+        x, y = family.generate(n, seed=seed, **family.bench_params(t))
+    except MemoryError:
+        # cmd_bench states a ValueError, from the parent or a worker
+        raise ValueError(f"--n-grid {n}: the instance is too large to build in memory") from None
     cfg = TesterConfig(t=t, epsilon=eps, c_s=cs, seed=seed + 1)
     with warnings.catch_warnings():
         # cmd_bench states it once per cell, whichever process ran the trial

@@ -152,15 +152,16 @@ def first_mismatch(x, y, rows, d: int, period: PeriodState | None = None) -> int
     return k
 
 
-def probe_diagonal(x, y, d: int, lo: int, hi: int, gaps: GapStream) -> bool:
+def probe_diagonal(x, y, d: int, lo: int, hi: int, gaps: GapStream) -> int | None:
     """Check the rows of [lo .. hi] that the gaps keep on diagonal d.
 
-    True on the first mismatch.  The rows are lo - 1 plus the running
-    sums of the gaps, walked a block at a time (GapStream.rows); only
-    rows with both reads in range are checked, by first_mismatch, which
-    charges what a row-by-row walk reads.  Each block takes the gaps that
-    walk would have drawn: one per row up to a mismatch, or, on a miss,
-    one more for the draw that passes hi.  A rate-1 stream draws nothing.
+    Returns the first row that mismatches, or None.  The rows are lo - 1
+    plus the running sums of the gaps, walked a block at a time
+    (GapStream.rows); only rows with both reads in range are checked, by
+    first_mismatch, which charges what a row-by-row walk reads.  Each
+    block takes the gaps that walk would have drawn: one per row up to a
+    mismatch, or, on a miss, one more for the draw that passes hi.  A
+    rate-1 stream draws nothing.
     """
     first, last = max(0, -d), min(len(x), len(y) - d) - 1
     r = lo - 1
@@ -171,9 +172,9 @@ def probe_diagonal(x, y, d: int, lo: int, hi: int, gaps: GapStream) -> bool:
         k = first_mismatch(x, y, rows[a:b], d)
         if k < b - a:
             gaps.skip(a + k + 1)
-            return True
+            return int(rows[a + k])
         if kept < len(rows):  # the draw at kept passed hi
             gaps.skip(kept + 1)
-            return False
+            return None
         gaps.skip(kept)
         r = int(rows[-1])

@@ -102,13 +102,14 @@ class RunStats:
 
 @dataclass(slots=True)
 class ModeState:
-    """What the per-row rounds share; run keeps the mode, its switches and the queue.
+    """What the per-row rounds share; run keeps the mode, switches, queue and quiet rows.
 
     draw_gap gives the gaps to the next sampled rows, draw_probe_gap those
     to the next probed rows; each is the one GapStream of its random
-    stream, and a block shows its gaps ahead.  The walk stops at row end.
-    segments are the alignment's closed ones; the open one runs on rep_d
-    from seg_start.
+    stream, and a block shows its gaps ahead.  The walk stops at row |x|.
+    path is the alignment's walk as (start row, diagonal) entries from
+    (0, 0): the representative diagonal is path[-1][1], and each entry's
+    segment ends where the next one starts, the last at row |x|.
 
     The block protocol: sampling mode checks its rows a block at a time
     (_check_block moves i at once to the block's end row) and hands them
@@ -119,57 +120,30 @@ class ModeState:
     """
 
     i: int
-    end: int
     diagonals: list[int]
     costs: CostArray
     period: PeriodState | None
-    quiet_rows: int
     draw_gap: GapStream
     draw_probe_gap: GapStream
     stats: RunStats
     block_failed: bool = False
-    rep_d: int = 0
-    seg_start: int = 0
-    segments: list[tuple[int, int, int]] = field(default_factory=list)
+    path: list[tuple[int, int]] = field(default_factory=lambda: [(0, 0)])
 
 
-def _split_streams(seed) -> tuple[random.Random, random.Random]:
-    base = random.Random(seed)
-    return random.Random(base.getrandbits(64)), random.Random(base.getrandbits(64))
-
-
-def initial_state(x, y, cfg: TesterConfig) -> ModeState:
-    """Fresh run state: sampling mode on diagonal 0 at the first sample."""
-    n = max(len(x), len(y))
-    rate = sampling_rate(n, cfg.t, cfg.c_s, cfg.epsilon)
-    rng_rows, rng_probe = _split_streams(cfg.seed)
-    # The first draw is one-shot, so a harness that rebinds geometric_gap
-    # sees one call per run; draw_gap makes every later draw on rng_rows.
-    return ModeState(
-        i=geometric_gap(rate, rng_rows) - 1,
-        end=len(x),
-        diagonals=[0],
-        costs=CostArray(cfg.t),
-        period=None,
-        quiet_rows=0,
-        draw_gap=GapStream(rate, rng_rows),
-        draw_probe_gap=GapStream(rate, rng_probe),
-        stats=RunStats(),
-    )
-
-
-def contiguous_round(state: ModeState, x, y) -> bool:
-    """Process one contiguous row; True if it captured the regime.
+def contiguous_round(state: ModeState, x, y, quiet: int) -> int:
+    """Process one contiguous row; the quiet rows after it, or -1 on capture.
 
     The row goes through scan.advance_row with the finishing diagonal
     d_end = |y| - |x|: diagonals whose counter exceeds t - |d - d_end|
     are skipped for good, potent ones survive, and each mismatch charges
-    its diagonal and spreads to its neighbors.  After 2(max-min)+1
-    consecutive quiet rows (2 for a lone diagonal) the regime is
-    captured, the tester jumps to the next sampled row and the call
-    returns True.  The extra quiet row beyond 2(max-min) makes the
-    captured window wide enough that a later transition search is valid
-    everywhere it can land.
+    its diagonal and spreads to its neighbors; a row that charges nothing
+    is quiet.  quiet counts the consecutive quiet rows before this one:
+    run keeps it, as it keeps sampling_round's queue, and starts it at 0
+    after a failed sampled row.  After 2(max-min)+1 consecutive quiet rows
+    (2 for a lone diagonal) the regime is captured, the tester jumps to
+    the next sampled row and the call returns -1.  The extra quiet row
+    beyond 2(max-min) makes the captured window wide enough that a later
+    transition search is valid everywhere it can land.
     """
     i = state.i
     stats = state.stats
@@ -178,34 +152,35 @@ def contiguous_round(state: ModeState, x, y) -> bool:
         stats.events.append((i, d, SUBSTITUTION))
     state.diagonals = nxt
     _update_representative(state, i + 1)
-    state.quiet_rows = 0 if charged else state.quiet_rows + 1
+    quiet = 0 if charged else quiet + 1
     state.i = i + 1
     stats.contiguous_rows += 1
     if not nxt:
-        return False
+        return quiet
     need = max(2, 2 * (nxt[-1] - nxt[0]) + 1)
-    if state.quiet_rows < need:
-        return False
+    if quiet < need:
+        return quiet
     state.period = PeriodState.capture(x, nxt, state.i - need) if len(nxt) >= 2 else None
     state.i = state.i - 1 + state.draw_gap()
-    return True
+    return -1
 
 
 def _check_block(state: ModeState, x, y) -> int:
     """Check the next block of sampled rows from state.i; the rows checked.
 
     The block is state.i and the rows the stream's next gaps reach from
-    it (GapStream.rows): as many as can fall before state.end, at most
-    sampled.BLOCK.  first_mismatch checks the rows before state.end, and
+    it (GapStream.rows): as many as can fall before row |x|, at most
+    sampled.BLOCK.  first_mismatch checks the rows before |x|, and
     charges them, against the period pattern along the highest diagonal
     when one is captured (several active diagonals), else on the lone
     diagonal.  Each passing row takes its gap from the stream, and gaps
     shown past a failing row stay in it.  The block ends on the failing
     row, or on the row the last gap reaches (see ModeState).
     """
-    rows = state.draw_gap.rows(state.i, state.end)
+    end = len(x)
+    rows = state.draw_gap.rows(state.i, end)
     block = rows[:-1]
-    live = int(np.searchsorted(block, state.end))
+    live = int(np.searchsorted(block, end))
     period = state.period
     d = state.diagonals[0] if period is None else period.d_max
     k = first_mismatch(x, y, block[:live], d, period)
@@ -233,13 +208,15 @@ def _fail_row(state: ModeState, x, y) -> None:
 
     With one diagonal, charge it.  With a captured period, pin down the
     transition row j by binary search and read the window j + 1 .. j + 1
-    + m once for each diagonal's first direct mismatch.  A diagonal is
-    charged if that row is at or before the failed row; past it, the
-    contiguous rows charge it at its own row.  Only the diagonals with no
-    mismatch in the window are probed, on an independent sample stream.
-    The charged diagonals spread to their neighbours; contiguous rows go
-    on from the next row, and period stays as it is until the next
-    capture, since only sampling reads it.
+    + m once for each diagonal's first direct mismatch.  Only the
+    diagonals with no mismatch in the window are probed, on an
+    independent sample stream, each from the regime's first row up to
+    the failed row; a probe's hit row stands in for the window's.  A
+    diagonal is charged if its row is at or before the failed row; past
+    it, the contiguous rows charge it at its own row.  The charged
+    diagonals spread to their neighbours; contiguous rows go on from the
+    next row, and period stays as it is until the next capture, since
+    only sampling reads it.
     """
     period = state.period
     rs = state.i
@@ -253,11 +230,12 @@ def _fail_row(state: ModeState, x, y) -> None:
         stats.search_rows.append(rs)
         j = find_period_transition(x, y, period, rs)
         first = mismatched_diagonals(x, y, j + 1, j + 1 + period.m, diags)
-        charged = {d for d, row in first.items() if row <= rs}
         for d in diags:
-            if d not in first and probe_diagonal(x, y, d, period.i_pat, rs,
-                                                 state.draw_probe_gap):
-                charged.add(d)
+            if d not in first:
+                hit = probe_diagonal(x, y, d, period.i_pat, rs, state.draw_probe_gap)
+                if hit is not None:
+                    first[d] = hit
+        charged = {d for d, row in first.items() if row <= rs}
     live = set(diags)
     for d in diags:
         costs.mark_potent(d, rs)
@@ -267,19 +245,17 @@ def _fail_row(state: ModeState, x, y) -> None:
         live.update(dd for dd in (d - 1, d + 1) if -t <= dd <= t)
     # The active set only grows here, so the representative stays in it.
     state.diagonals = sorted(live)
-    state.quiet_rows = 0
     state.i = rs + 1
 
 
 def _move_representative(state: ModeState, new: int, row: int) -> None:
-    """Close the segment at `row`; walk to `new`, one diag event per step."""
-    state.segments.append((state.seg_start, row, state.rep_d))
-    step = 1 if new > state.rep_d else -1
+    """Walk the representative to `new` at `row`, one diag event per step."""
+    old = state.path[-1][1]
+    step = 1 if new > old else -1
     kind = DIAG_UP if step > 0 else DIAG_DOWN
-    for dd in range(state.rep_d + step, new + step, step):
+    for dd in range(old + step, new + step, step):
         state.stats.events.append((row, dd, kind))
-    state.rep_d = new
-    state.seg_start = row
+    state.path.append((row, new))
 
 
 def _update_representative(state: ModeState, row: int) -> None:
@@ -292,7 +268,7 @@ def _update_representative(state: ModeState, row: int) -> None:
     over.
     """
     diags = state.diagonals
-    if not diags or state.rep_d in diags:
+    if not diags or state.path[-1][1] in diags:
         return
     # (cost, |d|, d) keys without a key function, whose closure would make
     # `costs` a cell on every call
@@ -315,11 +291,19 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
         warnings.warn(message, RangeWarning, stacklevel=2)
     if abs(len(x) - len(y)) > t:
         return Verdict(Answer.FAR, t + 1, ledger_snapshot(x, y), 0, None, RunStats())
-    state = initial_state(x, y, cfg)
-    stats = state.stats
+    rate = sampling_rate(n, t, cfg.c_s, cfg.epsilon)
+    base = random.Random(cfg.seed)
+    rng_rows = random.Random(base.getrandbits(64))
+    rng_probe = random.Random(base.getrandbits(64))
+    stats = RunStats()
+    # The first draw is one-shot, so a harness that rebinds geometric_gap
+    # sees one call per run; draw_gap makes every later draw on rng_rows.
+    state = ModeState(i=geometric_gap(rate, rng_rows) - 1, diagonals=[0],
+                      costs=CostArray(t), period=None, draw_gap=GapStream(rate, rng_rows),
+                      draw_probe_gap=GapStream(rate, rng_probe), stats=stats)
     answer = Answer.CLOSE
-    end, d_end = state.end, len(y) - len(x)
-    sampling, transitions = True, 0
+    end, d_end = len(x), len(y) - len(x)
+    sampling, transitions, quiet = True, 0, 0
     while state.i < end:
         if sampling:
             queued = sampling_round(state, x, y, 0)
@@ -328,19 +312,23 @@ def run(x, y, cfg: TesterConfig) -> Verdict:
             if not state.block_failed:
                 continue  # a passing block changes no cost and no diagonal
             _fail_row(state, x, y)
-            sampling, transitions = False, transitions + 1
-        elif contiguous_round(state, x, y):
-            sampling, transitions = True, transitions + 1
+            sampling, transitions, quiet = False, transitions + 1, 0
+        else:
+            quiet = contiguous_round(state, x, y, quiet)
+            if quiet < 0:
+                sampling, transitions = True, transitions + 1
         if state.costs.cost(d_end) > t or not state.diagonals:
             answer = Answer.FAR
             break
     alignment = None
     if answer is Answer.CLOSE:
-        if state.rep_d != d_end:
-            _move_representative(state, d_end, state.end)
-        state.segments.append((state.seg_start, state.end, state.rep_d))
-        alignment = SuccinctAlignment(segments=tuple(state.segments),
-                                      events=tuple(stats.events))
+        if state.path[-1][1] != d_end:
+            _move_representative(state, d_end, end)
+        path = state.path
+        stops = [row for row, _ in path[1:]] + [end]
+        alignment = SuccinctAlignment(
+            segments=tuple((row, stop, d) for (row, d), stop in zip(path, stops)),
+            events=tuple(stats.events))
     return Verdict(
         answer=answer,
         final_a0=min(state.costs.cost(d_end), t + 1),

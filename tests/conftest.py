@@ -294,21 +294,21 @@ def ref_potent_sets(x: bytes, y: bytes, t: int) -> list[set[int]]:
     return table
 
 
-def ref_probe_diagonal(x, y, d: int, lo: int, hi: int, draw_gap) -> bool:
+def ref_probe_diagonal(x, y, d: int, lo: int, hi: int, draw_gap) -> int | None:
     """gaped.periodicity.probe_diagonal walking one kept row at a time.
 
     The first row is lo - 1 + draw_gap(), each further draw adds a gap
     while the row is at most hi, and the draw that passes hi is made.
-    A row with both reads in range reads x, then y; True on the first
-    mismatch, which draws no further.
+    A row with both reads in range reads x, then y; the first row that
+    mismatches is returned, and draws no further.  None if no row does.
     """
     first, last = max(0, -d), min(len(x), len(y) - d) - 1
     j = lo - 1 + draw_gap()
     while j <= hi:
         if first <= j <= last and x.read(j) != y.read(j + d):
-            return True
+            return j
         j += draw_gap()
-    return False
+    return None
 
 
 def ref_run(x, y, cfg) -> Verdict:
@@ -372,7 +372,7 @@ def ref_run(x, y, cfg) -> Verdict:
                             break
                 charged = {d for d, r in first.items() if r <= i}
                 charged.update(d for d in diags if d not in first and ref_probe_diagonal(
-                    x, y, d, period.i_pat, i, lambda: ref_gap(rate, probe_rng)))
+                    x, y, d, period.i_pat, i, lambda: ref_gap(rate, probe_rng)) is not None)
             live = set(diags)
             for d in diags:
                 costs.mark_potent(d, i)

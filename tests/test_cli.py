@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import gaped
+import gaped.cli
 from conftest import ref_cost_table
 from gaped.cli import BENCH_FIELDS, main
 from gaped.generators import gen_independent_random, gen_periodic_splice, gen_random_edits
@@ -292,6 +293,35 @@ def test_gen_invalid_generator_arguments_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "usage: gaped gen" in err, args
         assert named in err, args
+    assert not (tmp_path / "d").exists()
+
+
+def test_an_instance_too_large_to_build_exits_2(tmp_path, monkeypatch, capsys):
+    # gen -n 10**15 --family periodic-splice raised MemoryError from the
+    # generator's buffers; the stand-in raises it past 2**40 without
+    # allocating, and builds smaller instances
+    splice = gaped.cli._FAMILIES["periodic-splice"]
+
+    def too_large(n, **params):
+        if n > 1 << 40:
+            raise MemoryError
+        return splice.generate(n, **params)
+
+    monkeypatch.setitem(gaped.cli._FAMILIES, "periodic-splice",
+                        splice._replace(generate=too_large))
+    for argv, named in (
+        (["gen", "--family", "periodic-splice", "-n", "1000000000000000", "--period", "2",
+          "--out", str(tmp_path / "d")], "-n 1000000000000000: the instance is too large"),
+        (["bench", "--family", "periodic-splice", "--n-grid", "4096,1000000000000000",
+          "--t-grid", "8", "--trials", "1"], "--n-grid 1000000000000000: the instance is"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, argv
+        assert f"usage: gaped {argv[0]}" in err, argv
+        assert named in err, argv
     assert not (tmp_path / "d").exists()
 
 

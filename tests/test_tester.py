@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gaped.scan
@@ -336,14 +336,41 @@ def test_block_check_matches_the_row_by_row_check(pair, t, c_s, epsilon, seed):
     assert fingerprint(run, x, y, cfg) == fingerprint(ref_run, x, y, cfg)
 
 
+@st.composite
+def _pairs_within_twice_ed(draw):
+    """A periodic_pairs pair with ED >= 1 and a t from ED to 2 ED."""
+    x, y = draw(periodic_pairs())
+    ed = edit_distance(x, y)
+    assume(ed >= 1)
+    return x, y, ed, draw(st.integers(min_value=ed, max_value=2 * ed))
+
+
+@pytest.mark.filterwarnings("ignore:t=.*exceeds sqrt")
+@given(case=_pairs_within_twice_ed(), c_s=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
+       epsilon=st.sampled_from([0.0, 0.5]), seed=st.integers(min_value=0, max_value=1 << 30))
+@settings(max_examples=200, deadline=None)
+def test_close_whenever_ed_is_at_most_t(case, c_s, epsilon, seed):
+    # The paper promises Close only for 2 ED <= t.  The tester answers
+    # Close, with final_a0 <= ED, for every ED <= t it has been run on;
+    # t in [ED, 2 ED] is where that goes past the paper's claim, and
+    # near-periodic pairs are where the window and the probes charge.
+    x, y, ed, t = case
+    cfg = TesterConfig(t=t, epsilon=epsilon, c_s=c_s, seed=seed)
+    got = fingerprint(run, x, y, cfg)
+    v = got[0]
+    assert v.is_close and v.final_a0 <= ed
+    assert got == fingerprint(ref_run, x, y, cfg)
+
+
 def test_a_probe_that_finds_a_mismatch_charges_its_diagonal(monkeypatch):
     # The run fails the sampled row 17 on the regime of diagonals -1..1.
     # In the transition window 17..19, diagonal -1 mismatches at row 17
     # and is charged; diagonals 0 and 1 read past the end of y there and
     # have no mismatch, so only they are probed over the regime.  The
-    # probe on diagonal 1 finds a mismatch, and diagonal 1 is charged at
-    # the failed sampled row too.  (Found by enumerating every x of three
-    # c's in a^18 against a^17 at t in {2, 3} and seeds 0-29.)
+    # probe on diagonal 0 finds none; the one on diagonal 1 finds the c
+    # of row 7, and diagonal 1 is charged at the failed sampled row too.
+    # (Found by enumerating every x of three c's in a^18 against a^17 at
+    # t in {2, 3} and seeds 0-29.)
     probes = []
     inner = gaped.tester.probe_diagonal
 
@@ -353,7 +380,7 @@ def test_a_probe_that_finds_a_mismatch_charges_its_diagonal(monkeypatch):
 
     monkeypatch.setattr(gaped.tester, "probe_diagonal", recorded)
     v = _run(b"acaaaaacaaaaaaaaac", b"a" * 17, t=3, c_s=0.3, seed=14)
-    assert probes == [False, True]
+    assert probes == [None, 7]
     assert v.stats.search_rows == [17]
     assert [(d, kind) for row, d, kind in v.stats.events if row == 17] == [
         (-1, SUBSTITUTION), (1, SUBSTITUTION)]
